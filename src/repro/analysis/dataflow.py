@@ -110,7 +110,7 @@ OWNERSHIP_CONTRACTS: Dict[str, str] = {
     ),
     "repro.sim.refcache:_REFERENCE_CACHE": (
         "bounded FIFO reference-trace cache; entries are pure "
-        "functions of (structure, seed) keys, replay is "
+        "functions of protocol-structure keys, replay is "
         "bit-identical, clear_reference_cache() owns invalidation"
     ),
 }

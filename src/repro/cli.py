@@ -110,11 +110,26 @@ def _add_decoder_argument(
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of count flags: an int >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     """The shot-sharded parallel runner's flags (ler and sweep)."""
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="run shot-sharded across N worker processes "
         "(1 runs the same sharded schedule inline); results are "
@@ -122,10 +137,11 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shard-shots",
-        type=int,
-        default=100,
+        type=_positive_int,
         metavar="SHOTS",
-        help="shots per shard of the parallel runner",
+        help="shots per shard of the parallel runner; by default "
+        "derived from the shot count (--batch): the smallest multiple "
+        "of 64 holding all shots, at most 4096",
     )
     parser.add_argument(
         "--checkpoint",
@@ -144,7 +160,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         metavar="HALFWIDTH",
         help="stop a (PER, arm) point early once the Wilson 95%% CI "
-        "half-width of its pooled LER meets this target",
+        "half-width of its pooled LER meets this target; checked "
+        "after each shard, so pass --shard-shots for finer stops",
     )
 
 
@@ -182,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ler.add_argument("--seed", type=int, default=0)
     ler.add_argument(
         "--batch",
-        type=int,
+        type=_positive_int,
         nargs="?",
         const=25,
         metavar="SHOTS",
@@ -193,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ler.add_argument(
         "--windows",
-        type=int,
+        type=_positive_int,
         default=200,
         help="windows per shot in --batch mode",
     )
     ler.add_argument(
         "--samples",
-        type=int,
+        type=_positive_int,
         default=10,
         help="independent per-shot runs per arm when the parallel "
         "runner is used without --batch (loop mode)",
@@ -218,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[3e-3, 6e-3, 1e-2],
         help="PER grid",
     )
-    sweep.add_argument("--samples", type=int, default=3)
+    sweep.add_argument("--samples", type=_positive_int, default=3)
     sweep.add_argument("--errors", type=int, default=4)
     sweep.add_argument("--kind", choices=["x", "z"], default="x")
     sweep.add_argument("--seed", type=int, default=0)
@@ -227,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--batch",
-        type=int,
+        type=_positive_int,
         metavar="WINDOWS",
         help="use the batched frame sampler: --samples becomes the "
         "lockstep shot count per arm and each shot runs exactly this "
@@ -593,20 +610,26 @@ def cmd_ler(args) -> int:
     decoder_name, decoder_params = decoder
     if args.workers is not None or args.batch is not None:
         from .decoders.registry import format_decoder_arg
-        from .experiments.parallel import run_parallel_point
+        from .experiments.parallel import CheckpointError, run_parallel_point
 
-        parallel = run_parallel_point(
-            args.per,
-            error_kind=args.kind,
-            shots=args.batch if args.batch is not None else args.samples,
-            windows=args.windows if args.batch is not None else None,
-            seed=args.seed,
-            config=_parallel_config(args),
-            max_logical_errors=args.errors,
-            engine=args.engine,
-            decoder=decoder_name,
-            decoder_params=decoder_params,
-        )
+        try:
+            parallel = run_parallel_point(
+                args.per,
+                error_kind=args.kind,
+                shots=(
+                    args.batch if args.batch is not None else args.samples
+                ),
+                windows=args.windows if args.batch is not None else None,
+                seed=args.seed,
+                config=_parallel_config(args),
+                max_logical_errors=args.errors,
+                engine=args.engine,
+                decoder=decoder_name,
+                decoder_params=decoder_params,
+            )
+        except CheckpointError as error:
+            print(f"--checkpoint: {error}", file=sys.stderr)
+            return 2
         report = LerReport(
             physical_error_rate=args.per,
             error_kind=args.kind,
@@ -682,7 +705,7 @@ def cmd_sweep(args) -> int:
         return 2
     decoder_name, decoder_params = decoder
     if args.workers is not None:
-        from .experiments.parallel import run_parallel_sweep
+        from .experiments.parallel import CheckpointError, run_parallel_sweep
 
         if decoder_name == "per-shot-lut":
             print(
@@ -691,18 +714,22 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        parallel = run_parallel_sweep(
-            per_values=args.per,
-            error_kind=args.kind,
-            shots=args.samples,
-            windows=args.batch,
-            seed=args.seed,
-            config=_parallel_config(args),
-            max_logical_errors=args.errors,
-            engine=args.engine,
-            decoder=decoder_name,
-            decoder_params=decoder_params,
-        )
+        try:
+            parallel = run_parallel_sweep(
+                per_values=args.per,
+                error_kind=args.kind,
+                shots=args.samples,
+                windows=args.batch,
+                seed=args.seed,
+                config=_parallel_config(args),
+                max_logical_errors=args.errors,
+                engine=args.engine,
+                decoder=decoder_name,
+                decoder_params=decoder_params,
+            )
+        except CheckpointError as error:
+            print(f"--checkpoint: {error}", file=sys.stderr)
+            return 2
         sweep = parallel.sweep
         arms = []
         for index in range(len(args.per)):

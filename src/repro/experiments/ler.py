@@ -511,13 +511,18 @@ class BatchedLerExperiment:
     word planes (:class:`~repro.decoders.batched.
     PackedWindowedLutDecoder`) and only unpack at the LUT gather.
 
-    ``reference_cache`` (default on, requires a ``seed``) records the
-    run's noiseless reference trajectory in the process-level trace
-    cache (:mod:`repro.sim.refcache`), keyed by the protocol structure
-    plus the seed entropy, and replays it on any later run with the
-    same key — identical :class:`BatchCounts`, minus the whole tableau
-    pass.  This is what keeps a long-lived worker fleet from
-    re-simulating the reference for repeated-structure jobs.
+    The noiseless reference trajectory is a function of the protocol
+    structure alone — ``(error_kind, windows, rounds_per_window,
+    init_rounds)`` — and is seeded from that structure's digest, not
+    from ``seed``: frame gauge randomization makes the reference's
+    random outcomes unobservable, so one reference serves every shot
+    of every run (:mod:`repro.sim.refcache`).  ``seed`` drives the
+    per-shot frame stream only.  ``reference_cache`` (default on)
+    records the reference in the process-level trace cache and
+    replays it on any later run of the same structure — every shard,
+    arm, PER point, seed and engine — with identical
+    :class:`BatchCounts`, minus the whole tableau pass.  With it off,
+    the same reference is simulated live (same bits, no cache).
     """
 
     def __init__(
@@ -564,21 +569,18 @@ class BatchedLerExperiment:
             active_qubits=range(NUM_QUBITS),
         )
         # The reference trajectory is a pure function of the protocol
-        # structure and the seed's reference stream — every parameter
-        # that only shapes the *frames* (shots, arm, noise rate,
-        # decoder, rng_mode) is deliberately absent from the key.
-        reference_key = None
-        if reference_cache and seed is not None:
-            reference_key = reference_trace_key(
-                (
-                    "batched_ler",
-                    error_kind,
-                    self.windows,
-                    self.rounds_per_window,
-                    self.init_rounds,
-                ),
-                seed,
+        # structure — every parameter that only shapes the *frames*
+        # (shots, arm, noise rate, decoder, rng_mode, seed) is
+        # deliberately absent from the key.
+        reference_key = reference_trace_key(
+            (
+                "batched_ler",
+                error_kind,
+                self.windows,
+                self.rounds_per_window,
+                self.init_rounds,
             )
+        )
         if self._packed:
             self.core = PackedStabilizerCore(
                 self.num_shots,
@@ -586,6 +588,7 @@ class BatchedLerExperiment:
                 seed=seed,
                 rng_mode="fast" if engine == "packed-fast" else "exact",
                 reference_key=reference_key,
+                reference_cache=reference_cache,
             )
         else:
             self.core = BatchedStabilizerCore(
@@ -593,6 +596,7 @@ class BatchedLerExperiment:
                 noise=noise,
                 seed=seed,
                 reference_key=reference_key,
+                reference_cache=reference_cache,
             )
         self.core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla
         # Capability negotiation + registry-driven construction: the

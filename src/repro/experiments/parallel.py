@@ -63,8 +63,21 @@ from .sweep import (
     point_base_seed,
 )
 
-#: Format version of the JSON-lines checkpoint.
-CHECKPOINT_VERSION = 1
+#: Format version of the JSON-lines checkpoint.  Version 2 records
+#: come from structure-keyed reference trajectories; version 1
+#: records came from seed-keyed references, can differ bit for bit and
+#: are refused.
+CHECKPOINT_VERSION = 2
+
+#: Largest shard :func:`auto_shard_shots` picks.  With the reference
+#: shared per process a shard's fixed cost is small, and the cap keeps
+#: shards fine enough for worker load balance, ``--target-ci`` early
+#: stopping and checkpoint granularity.
+MAX_AUTO_SHARD_SHOTS = 4096
+
+
+class CheckpointError(ValueError):
+    """A checkpoint cannot be resumed: foreign, stale or corrupt."""
 
 
 class PoolShutdownError(RuntimeError):
@@ -133,6 +146,20 @@ class ShardSpec:
     def shard_seed(self) -> Tuple[int, int]:
         """Entropy of this shard's RNG tree (worker-count independent)."""
         return (self.arm_seed, self.shard_index)
+
+
+def auto_shard_shots(shots: int) -> int:
+    """The default shard size for ``shots`` shots per arm.
+
+    The smallest multiple of 64 (one packed frame word) holding all of
+    ``shots``, capped at :data:`MAX_AUTO_SHARD_SHOTS`.  A pure function
+    of ``shots`` and never of the worker count: shard boundaries fix
+    the shard seeds, so this keeps records bit-identical for any
+    ``workers``.
+    """
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    return min(MAX_AUTO_SHARD_SHOTS, -(-shots // 64) * 64)
 
 
 def plan_shards(
@@ -483,22 +510,23 @@ def load_checkpoint(
         except json.JSONDecodeError:
             if number == len(lines) - 1:
                 break  # torn final line from an interrupted write
-            raise ValueError(
+            raise CheckpointError(
                 f"{path}:{number + 1}: malformed checkpoint line"
             )
         kind = payload.get("kind")
         if kind == "header":
             if payload.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(
+                raise CheckpointError(
                     f"{path}: checkpoint version "
                     f"{payload.get('version')!r} is not "
-                    f"{CHECKPOINT_VERSION}"
+                    f"{CHECKPOINT_VERSION}; its records cannot be "
+                    "resumed (run again without --resume)"
                 )
             header = payload.get("config")
         elif kind == "shard":
             records.append(ShardResult.from_json_dict(payload))
         else:
-            raise ValueError(
+            raise CheckpointError(
                 f"{path}:{number + 1}: unknown record kind {kind!r}"
             )
     return header, records
@@ -519,7 +547,9 @@ class ParallelConfig:
     """
 
     workers: int = 1
-    shard_shots: int = 100
+    #: Shots per shard; ``None`` derives it from the shot count
+    #: (:func:`auto_shard_shots`).
+    shard_shots: Optional[int] = None
     checkpoint: Optional[str] = None
     resume: bool = False
     target_ci: Optional[float] = None
@@ -713,7 +743,9 @@ def run_parallel_sweep(
         The PER grid, as in :func:`~repro.experiments.sweep.run_ler_sweep`.
     shots:
         Shots per (PER, arm) point, split into
-        ``ceil(shots / config.shard_shots)`` shards.
+        ``ceil(shots / shard_shots)`` shards, where ``shard_shots`` is
+        ``config.shard_shots`` or, by default,
+        :func:`auto_shard_shots` of ``shots``.
     windows:
         Windows per shot (batch mode); ``None`` switches every shard
         to the per-shot tableau loop terminated at
@@ -740,11 +772,16 @@ def run_parallel_sweep(
     :class:`~repro.experiments.results.SweepResult` structure the
     sequential path produces, built from the committed shard records.
     """
+    shard_shots = (
+        config.shard_shots
+        if config.shard_shots is not None
+        else auto_shard_shots(shots)
+    )
     specs = plan_shards(
         per_values,
         error_kind,
         shots,
-        config.shard_shots,
+        shard_shots,
         windows,
         seed,
         max_logical_errors=max_logical_errors,
@@ -753,7 +790,7 @@ def run_parallel_sweep(
         decoder=decoder,
         decoder_params=decoder_params,
     )
-    num_shards = math.ceil(shots / config.shard_shots)
+    num_shards = math.ceil(shots / shard_shots)
     target = config.target_ci
     aggregators: Dict[ArmKey, ArmAggregator] = {}
     for index in range(len(per_values)):
@@ -768,7 +805,7 @@ def run_parallel_sweep(
         per_values,
         error_kind,
         shots,
-        config.shard_shots,
+        shard_shots,
         windows,
         seed,
         max_logical_errors,
@@ -788,14 +825,14 @@ def run_parallel_sweep(
     if resuming:
         stored_config, records = load_checkpoint(config.checkpoint)
         if stored_config != header_config:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint {config.checkpoint!r} was written for a "
                 f"different sweep configuration; refusing to resume"
             )
         for record in records:
             spec = spec_by_key.get(record.key)
             if spec is None or spec.shots != record.shots:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint {config.checkpoint!r} holds shard "
                     f"{record.key} that the planned sweep does not"
                 )

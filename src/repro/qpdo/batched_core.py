@@ -47,7 +47,7 @@ from ..sim.framesim import (
     _seed_sequence,
     _slot_noise_events,
 )
-from ..sim.refcache import ReferenceTableau
+from ..sim.refcache import ReferenceTableau, reference_seed
 from ..sim.state import State
 from .. import telemetry
 from .core import CAP_BATCH, Core, ExecutionResult
@@ -93,17 +93,24 @@ class BatchedStabilizerCore(Core):
         Optional built-in depolarizing model applied to every
         non-bypass circuit (see module docstring).
     seed:
-        Seed for both the reference tableau and the per-shot fault /
-        gauge randomness (two independent child streams).
+        Seed of the per-shot fault / gauge randomness (its second
+        spawned child).  Without a ``reference_key`` its first child
+        seeds the reference tableau.
     reference_key:
         Optional :func:`~repro.sim.refcache.reference_trace_key`
-        digest.  With a key, the reference trajectory is recorded on
-        first execution and *replayed* from the process-level trace
+        digest of the protocol structure.  With a key, the reference
+        tableau is seeded from the key itself
+        (:func:`~repro.sim.refcache.reference_seed`), so every run of
+        one structure shares one reference trajectory; it is recorded
+        on first execution and *replayed* from the process-level trace
         cache on subsequent runs with the same key — bit-identical
         results without re-simulating the noiseless tableau.  The
         experiment owning the core must call
         :meth:`commit_reference_trace` once its circuit stream is
         complete.
+    reference_cache:
+        With ``False``, a keyed reference is simulated live every run
+        (same seed, same bits) and never enters the cache.
 
     Notes
     -----
@@ -122,12 +129,16 @@ class BatchedStabilizerCore(Core):
         noise: Optional[NoiseParameters] = None,
         seed: SeedLike = None,
         reference_key: Optional[str] = None,
+        reference_cache: bool = True,
     ) -> None:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
         reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
+        if reference_key is not None:
+            reference_ss = reference_seed(reference_key)
         self.simulator = ReferenceTableau(
-            np.random.default_rng(reference_ss), key=reference_key
+            np.random.default_rng(reference_ss),
+            key=reference_key if reference_cache else None,
         )
         self.frames = FrameArray(num_shots, 0)
         self.noise = noise

@@ -47,7 +47,7 @@ from ..sim.framesim import (
     _slot_noise_events,
 )
 from ..sim.packedsim import PackedFrameArray, unpack_bits
-from ..sim.refcache import ReferenceTableau
+from ..sim.refcache import ReferenceTableau, reference_seed
 from ..sim.state import State
 from .. import telemetry
 from .core import CAP_BATCH, CAP_PACKED, Core, ExecutionResult
@@ -101,18 +101,21 @@ class PackedStabilizerCore(Core):
         non-bypass circuit (same per-slot semantics as the unpacked
         batched core).
     seed:
-        Seed for the reference tableau and the frame randomness (two
-        independent child streams, the unpacked core's layout).
+        Seed of the frame randomness (and, without a
+        ``reference_key``, of the reference tableau): the unpacked
+        core's two-child layout.
     rng_mode:
         ``"exact"`` (bit-identical to
         :class:`~repro.qpdo.batched_core.BatchedStabilizerCore`) or
         ``"fast"`` (word-level noise; distribution-identical).
     reference_key:
-        Optional reference-trace cache key (see the unpacked core and
-        :mod:`repro.sim.refcache`).  The reference stream is identical
-        across all engines — ``rng_mode`` only changes the *frame*
-        stream — so packed and unpacked runs of one protocol/seed
-        share one cached trace.
+        Optional structure digest that seeds and caches the reference
+        (see the unpacked core and :mod:`repro.sim.refcache`).  The
+        reference stream is identical across all engines —
+        ``rng_mode`` only changes the *frame* stream — so packed and
+        unpacked runs of one protocol share one cached trace.
+    reference_cache:
+        ``False`` simulates a keyed reference live, uncached.
 
     The lockstep restrictions of the unpacked batched core apply
     unchanged: the circuit stream must be shot-independent apart from
@@ -126,12 +129,16 @@ class PackedStabilizerCore(Core):
         seed: SeedLike = None,
         rng_mode: str = "exact",
         reference_key: Optional[str] = None,
+        reference_cache: bool = True,
     ) -> None:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
         reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
+        if reference_key is not None:
+            reference_ss = reference_seed(reference_key)
         self.simulator = ReferenceTableau(
-            np.random.default_rng(reference_ss), key=reference_key
+            np.random.default_rng(reference_ss),
+            key=reference_key if reference_cache else None,
         )
         self.frames = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
         self.noise = noise

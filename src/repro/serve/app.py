@@ -337,7 +337,7 @@ class ServeApp:
             shots=shots,
             windows=int(params.get("windows", 10)),
             seed=job.seed,
-            shard_shots=int(params.get("shard_shots", max(1, shots // 4))),
+            shard_shots=params.get("shard_shots"),
             engine=params.get("engine", "framesim"),
             checkpoint=self.checkpoint_path(job.job_id),
             target_ci=params.get("target_ci"),

@@ -123,7 +123,12 @@ def check_job_params(job_kind: str, params: Dict) -> None:
             raise JobParamsError(
                 "ler params need 'physical_error_rate' in [0, 1)"
             )
-    for key, default in (("shots", 10), ("windows", 10)):
+    # ``shard_shots`` is optional: absent, the runner derives it.
+    for key, default in (
+        ("shots", 10),
+        ("windows", 10),
+        ("shard_shots", 1),
+    ):
         value = params.get(key, default)
         if not isinstance(value, int) or value < 1:
             raise JobParamsError(f"{key!r} must be a positive integer")
@@ -257,7 +262,7 @@ class WorkerFleet:
         shots: int,
         windows: Optional[int],
         seed: int,
-        shard_shots: int,
+        shard_shots: Optional[int],
         engine: str,
         checkpoint: Optional[str],
         target_ci: Optional[float] = None,

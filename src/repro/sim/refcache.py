@@ -1,35 +1,37 @@
 """Process-level cache of reference-run measurement traces.
 
-The batched engines (PR 1/PR 6) split every experiment into a shared
-*noiseless reference trajectory* on a stabilizer tableau plus per-shot
-Pauli error frames; a measurement's per-shot outcomes are
-``reference_bit XOR frame_flips``.  The reference trajectory is a pure
-function of two inputs only — the non-Pauli circuit stream the
-experiment executes and the reference RNG stream (the gauge picks of
-random measurement outcomes).  Per-shot feedback never touches it:
-decoder corrections are frame XORs and shot-masked noise injection is
-frame-only.
+The batched engines split every experiment into a shared *noiseless
+reference trajectory* on a stabilizer tableau plus per-shot Pauli
+error frames; a measurement's per-shot outcomes are
+``reference_bit XOR frame_flips``.  Per-shot feedback never touches
+the reference: decoder corrections are frame XORs and shot-masked
+noise injection is frame-only.
 
-That makes the reference trace cacheable exactly the way the dense LUT
-tables are (:mod:`repro.decoders.batched`): key it by a digest of the
-protocol structure plus the normalized reference-seed entropy, store
-the ordered reference measurement bits, and *replay* them on the next
-run with the same key instead of re-simulating the tableau.  Replay is
-bit-identical by construction — it returns the recorded outputs of a
-deterministic function of the key — and it never perturbs the frame
-RNG, because the reference tableau owns an independent child stream
-(``_seed_sequence(seed).spawn(2)[0]``) that simply goes unconsumed.
+The reference's random measurement outcomes (gauge picks) are
+unobservable: the frames re-randomize every such outcome per shot, so
+the per-shot outcome distribution is the same whichever reference the
+tableau happened to draw.  Stim takes a single deterministic reference
+sample for the same reason.  The reference is therefore made a pure
+function of the **protocol structure alone** — the non-Pauli circuit
+stream the experiment executes (protocol name, error kind, window
+geometry, ...).  :func:`reference_trace_key` digests that structure,
+and :func:`reference_seed` derives the tableau's gauge stream from the
+same digest, so every run of one structure draws one reference,
+whatever its shot count, arm, noise rate, engine or experiment seed.
+The per-shot frame stream stays on the experiment seed
+(``_seed_sequence(seed).spawn(2)[1]``), so fault draws are untouched.
 
-Two things the cache deliberately does **not** do:
+That makes the reference trace computable once per structure per
+process: the first run *records* the ordered reference measurement
+bits under the key and every later run *replays* them instead of
+re-simulating the tableau — across shards, arms, PER points, seeds and
+``repro serve`` jobs.  Record, replay and the uncached live mode give
+identical bits by construction: all three run (or return the recorded
+outputs of) the same deterministic function of the key.
 
-* share traces across *different* seeds — two arms of one sweep point
-  draw different reference streams, so their traces differ bit for
-  bit; the win is repeated-structure jobs (the ``repro serve`` warm
-  fleet re-running the same spec) and the second arm-internal pass of
-  identical sub-protocols, not cross-seed reuse;
-* cache the scalar per-shot loop — there, decoder corrections are real
-  tableau gates, so the reference depends on the decoded syndromes and
-  is not a pure function of (structure, seed).
+The cache does not cover the scalar per-shot loop: there, decoder
+corrections are real tableau gates, so the reference depends on the
+decoded syndromes and is not a pure function of the structure.
 
 Entries are small (one uint8 per reference measurement; a 200-window
 SC17 LER run records ~5 kB) and the cache is bounded: beyond
@@ -51,7 +53,7 @@ from .stabilizer import StabilizerSimulator
 
 #: FIFO capacity of the process-level trace cache.  Each entry is a
 #: few kilobytes; the bound exists so a warm serve worker that sees an
-#: unbounded stream of distinct seeds stays memory-flat.
+#: unbounded stream of distinct structures stays memory-flat.
 REFERENCE_CACHE_CAPACITY = 1024
 
 #: key -> frozen uint8 array of reference measurement bits, in
@@ -59,28 +61,25 @@ REFERENCE_CACHE_CAPACITY = 1024
 _REFERENCE_CACHE: "OrderedDict[str, np.ndarray]" = OrderedDict()
 
 
-def reference_trace_key(
-    structure: Tuple, seed: object
-) -> str:
+def reference_trace_key(structure: Tuple) -> str:
     """Digest identifying one reference trajectory.
 
     ``structure`` is a JSON-safe tuple pinning everything that shapes
     the non-Pauli circuit stream (protocol name, error kind, window
-    geometry, ...); ``seed`` is the experiment seed whose *first*
-    spawned child drives the reference tableau.  The seed enters the
-    key as the normalized :class:`numpy.random.SeedSequence` entropy,
-    so equivalent seed spellings (``7`` vs ``SeedSequence(7)``) map to
-    the same trace while different entropy never collides.
+    geometry, ...).  Nothing that only shapes the frames — shots, arm,
+    noise rate, decoder, engine, seed — belongs in it.
     """
-    from .framesim import _seed_sequence
-
-    sequence = _seed_sequence(seed)
-    payload = json.dumps(
-        [list(structure), repr(sequence.entropy),
-         list(sequence.spawn_key)],
-        sort_keys=True,
-    )
+    payload = json.dumps(list(structure), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def reference_seed(key: str) -> np.random.SeedSequence:
+    """The reference tableau's seed: the structure digest itself.
+
+    Record, replay and live runs of one key therefore draw the same
+    reference, and so give the same bits.
+    """
+    return np.random.SeedSequence(int(key, 16))
 
 
 def lookup_reference_trace(key: str) -> Optional[np.ndarray]:

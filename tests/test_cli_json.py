@@ -236,11 +236,13 @@ def test_deprecation_gate_main_reports_offences(monkeypatch, capsys):
 def test_acceptance_trace_covers_all_layers(tmp_path, capsys):
     """repro ler --batch --trace T --metrics, then repro report T."""
     from repro.cli import main
+    from repro.sim.refcache import clear_reference_cache
 
     path = str(tmp_path / "accept.jsonl")
-    # A seed no other in-process test uses: the process-level
-    # reference-trace cache replays warm structures, and a replayed
-    # reference pass (by design) emits no stabilizer-sim spans.
+    # The process-level reference-trace cache replays any structure an
+    # earlier in-process test ran, and a replayed reference pass (by
+    # design) emits no stabilizer-sim spans: start cold.
+    clear_reference_cache()
     code = main(
         [
             "ler",

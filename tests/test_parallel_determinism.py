@@ -12,16 +12,21 @@ import os
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main as cli_main
 from repro.experiments.parallel import (
+    MAX_AUTO_SHARD_SHOTS,
     ArmAggregator,
+    CheckpointError,
     ParallelConfig,
     ShardRecord,
+    auto_shard_shots,
     load_checkpoint,
     plan_shards,
     run_parallel_sweep,
     run_shard,
 )
+from repro.sim.refcache import clear_reference_cache
 
 PER_VALUES = [8e-3]
 SHOTS = 6
@@ -320,3 +325,138 @@ class TestParallelCli:
         assert "4 resumed from checkpoint" in second
         assert "0 executed" in second
         assert first.splitlines()[1] == second.splitlines()[1]
+
+
+class TestAutoSharding:
+    """The default shard size: a pure function of the shot count."""
+
+    @pytest.mark.parametrize(
+        "shots,expected",
+        [(1, 64), (64, 64), (65, 128), (400, 448), (4096, 4096),
+         (20000, MAX_AUTO_SHARD_SHOTS)],
+    )
+    def test_policy(self, shots, expected):
+        assert auto_shard_shots(shots) == expected
+        assert expected % 64 == 0
+
+    def test_rejects_non_positive_shots(self):
+        with pytest.raises(ValueError, match="positive"):
+            auto_shard_shots(0)
+
+    def test_auto_sized_workers_1_and_2_bit_identical(self):
+        shots = MAX_AUTO_SHARD_SHOTS + 4  # two shards per arm
+        serial = run_sweep(shots=shots, windows=1, shard_shots=None)
+        pooled = run_sweep(
+            shots=shots, windows=1, shard_shots=None, workers=2
+        )
+        assert serial.total_shards == 4
+        assert [
+            record.shots
+            for record in serial.arms[(0, True)].committed
+        ] == [MAX_AUTO_SHARD_SHOTS, 4]
+        assert committed_records(serial) == committed_records(pooled)
+
+    def test_header_records_resolved_shard_size(self, tmp_path):
+        checkpoint = str(tmp_path / "sweep.jsonl")
+        run_sweep(checkpoint=checkpoint, shard_shots=None)
+        header, records = load_checkpoint(checkpoint)
+        assert header["shard_shots"] == auto_shard_shots(SHOTS)
+        assert len(records) == 2  # one shard per arm
+
+
+class TestCheckpointVersion:
+    def _write_v1(self, path):
+        """A checkpoint as the seed-keyed-reference release wrote it."""
+        header = {
+            "kind": "header",
+            "version": 1,
+            "config": {
+                "per_values": [8e-3], "error_kind": "x", "shots": 4,
+                "shard_shots": 2, "windows": 4, "seed": 0,
+                "max_logical_errors": 4, "max_windows": 2000000,
+                "rng_stream": "exact",
+            },
+        }
+        with open(path, "w") as handle:
+            handle.write(json.dumps(header) + "\n")
+
+    def test_loader_refuses_v1(self, tmp_path):
+        checkpoint = str(tmp_path / "v1.jsonl")
+        self._write_v1(checkpoint)
+        with pytest.raises(CheckpointError, match="version 1 is not 2"):
+            load_checkpoint(checkpoint)
+
+    def test_cli_resume_refuses_v1(self, tmp_path, capsys):
+        checkpoint = str(tmp_path / "v1.jsonl")
+        self._write_v1(checkpoint)
+        code = cli_main(
+            [
+                "sweep", "--per", "8e-3", "--samples", "4",
+                "--batch", "4", "--workers", "1", "--shard-shots", "2",
+                "--errors", "4", "--checkpoint", checkpoint, "--resume",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "checkpoint version 1 is not 2" in err
+        assert "Traceback" not in err
+        # Refused, not resumed: the stale file is left untouched.
+        assert len(open(checkpoint).read().splitlines()) == 1
+
+
+def _refcache_counts(argv):
+    """Reference-cache (hits, misses) of one in-process CLI run."""
+    clear_reference_cache()
+    with telemetry.enabled() as collector:
+        assert cli_main(argv + ["--json"]) == 0
+    counters = collector.counters[("sim.refcache", "reference_cache")]
+    return counters.get("hits", 0), counters.get("misses", 0)
+
+
+class TestOneReferencePerProcess:
+    """The reference is computed once per structure and process."""
+
+    def test_default_ler_batch(self, capsys):
+        hits, misses = _refcache_counts(
+            ["ler", "--batch", "400", "--windows", "20"]
+        )
+        shards = json.loads(capsys.readouterr().out)["committed_shards"]
+        assert shards == 2  # one auto-sized shard per arm
+        assert (hits, misses) == (shards - 1, 1)
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "1"]])
+    def test_three_per_sweep_batch(self, workers, capsys):
+        hits, misses = _refcache_counts(
+            ["sweep", "--batch", "4", "--samples", "8", *workers]
+        )
+        document = json.loads(capsys.readouterr().out)
+        runs = 2 * len(document["sweep"]["points"])
+        assert runs == 6
+        if workers:
+            assert document["committed_shards"] == runs
+        assert (hits, misses) == (runs - 1, 1)
+
+
+class TestShardFlagValidation:
+    """Bad sharding flags are usage errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("ler", "--workers"),
+            ("ler", "--shard-shots"),
+            ("ler", "--batch"),
+            ("ler", "--windows"),
+            ("sweep", "--workers"),
+            ("sweep", "--shard-shots"),
+            ("sweep", "--batch"),
+        ],
+    )
+    def test_rejected_with_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, flag, value])
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {flag}" in last

@@ -1,10 +1,10 @@
 """Tests for the process-level reference-trace cache (repro.sim.refcache).
 
-The cache's contract: with a ``reference_key``, the first run of a
-(structure, seed) records the noiseless reference trajectory, every
-later run replays it without building a tableau, and replayed
-experiments are bit-identical to cold ones — across every batched
-engine, because the reference stream is engine-independent.
+The cache's contract: the reference trajectory is keyed and seeded by
+the protocol structure alone, so the first run of a structure records
+it, every later run of that structure — any seed, arm, shot count or
+engine — replays it without building a tableau, and replayed, recorded
+and uncached live runs are bit-identical.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.sim.refcache import (
     clear_reference_cache,
     lookup_reference_trace,
     reference_cache_size,
+    reference_seed,
     reference_trace_key,
     store_reference_trace,
 )
@@ -44,23 +45,38 @@ def run_ler(engine, seed=11, reference_cache=True):
     return result, experiment.core.simulator.replaying
 
 
+#: The structure of ``BatchedLerExperiment(..., windows=3)``.
+STRUCTURE = ("batched_ler", "x", 3, 2, 3)
+
+
 class TestReferenceTraceKey:
     def test_equivalent_seed_spellings_share_a_key(self):
-        structure = ("batched_ler", "x", 3, 1, 2)
-        assert reference_trace_key(structure, 7) == reference_trace_key(
-            structure, np.random.SeedSequence(7)
-        )
+        keys = {
+            BatchedLerExperiment(
+                0.002, 2, windows=3, seed=seed
+            ).core.simulator.key
+            for seed in (7, np.random.SeedSequence(7))
+        }
+        assert keys == {reference_trace_key(STRUCTURE)}
 
-    def test_different_seeds_differ(self):
-        structure = ("batched_ler", "x", 3, 1, 2)
-        assert reference_trace_key(structure, 7) != reference_trace_key(
-            structure, 8
-        )
+    def test_different_seeds_share_a_key(self):
+        """Changed contract: the seed only drives the frames."""
+        keys = {
+            BatchedLerExperiment(
+                0.002, 2, windows=3, seed=seed
+            ).core.simulator.key
+            for seed in (7, 8, None)
+        }
+        assert keys == {reference_trace_key(STRUCTURE)}
 
     def test_different_structures_differ(self):
-        assert reference_trace_key(
-            ("batched_ler", "x", 3, 1, 2), 7
-        ) != reference_trace_key(("batched_ler", "z", 3, 1, 2), 7)
+        assert reference_trace_key(STRUCTURE) != reference_trace_key(
+            ("batched_ler", "z", 3, 2, 3)
+        )
+
+    def test_reference_seed_is_the_structure_digest(self):
+        key = reference_trace_key(STRUCTURE)
+        assert reference_seed(key).entropy == int(key, 16)
 
 
 class TestCacheStore:
@@ -171,12 +187,35 @@ class TestExperimentIntegration:
         assert not replaying
         assert reference_cache_size() == 0
 
-    def test_unseeded_runs_never_cache(self):
-        _, replaying = run_ler("framesim", seed=None)
-        assert not replaying
-        assert reference_cache_size() == 0
+    @pytest.mark.parametrize("engine", ["framesim", "packed"])
+    def test_live_mode_equals_cached_mode(self, engine):
+        """Live, record and replay runs draw one reference."""
+        live, _ = run_ler(engine, reference_cache=False)
+        recorded, recorded_replaying = run_ler(engine)
+        replayed, replaying = run_ler(engine)
+        assert not recorded_replaying and replaying
+        documents = [
+            [r.to_json_dict() for r in result]
+            for result in (live, recorded, replayed)
+        ]
+        assert documents[0] == documents[1] == documents[2]
 
-    def test_distinct_seeds_get_distinct_entries(self):
+    def test_unseeded_runs_share_the_structure_trace(self):
+        """Changed contract: an unseeded run has a structure too."""
+        run_ler("framesim", seed=None)
+        _, replaying = run_ler("framesim", seed=None)
+        assert replaying
+        assert reference_cache_size() == 1
+
+    def test_distinct_seeds_share_one_entry(self):
+        """Changed contract: seeds, arms and shot counts share one
+        trace; only a different structure adds an entry."""
         run_ler("framesim", seed=1)
-        run_ler("framesim", seed=2)
+        _, replaying = run_ler("framesim", seed=2)
+        assert replaying
+        BatchedLerExperiment(
+            0.01, 5, use_pauli_frame=False, windows=3, seed=3
+        ).run_counts()
+        assert reference_cache_size() == 1
+        BatchedLerExperiment(0.002, 5, windows=4, seed=1).run_counts()
         assert reference_cache_size() == 2

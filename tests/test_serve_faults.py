@@ -263,6 +263,13 @@ class TestMalformedDocuments:
                         "engine": "abacus",
                     },
                 },
+                {
+                    "job_kind": "ler",
+                    "params": {
+                        "physical_error_rate": 0.01,
+                        "shard_shots": 0,
+                    },
+                },
             ]
             for body in bad_bodies:
                 status, doc = await _http_request(
