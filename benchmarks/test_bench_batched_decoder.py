@@ -7,8 +7,11 @@ then Python-loop decoding every window.  The batched decoding layer
 over process-cached dense tables.  Two acceptance bars:
 
 * the full batched LER experiment at 1000 shots must run >= 3x faster
-  with the array-native decoder than with the per-shot reference,
-  while producing bit-identical ``BatchCounts``;
+  with the word-plane
+  :class:`~repro.decoders.batched.PackedWindowedLutDecoder` than with
+  one scalar ``WindowedLutDecoder`` per shot (the equivalence suite's
+  ``PerShotDecoder``, swapped into the same experiment), while
+  producing bit-identical ``BatchCounts``;
 * LUT construction per experiment arm must be O(1) cached builds
   instead of O(shots) brute-force enumerations, with a warm
   (cache-hit) build amortizing far below a cold one.
@@ -22,6 +25,7 @@ from repro import telemetry
 from repro.codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
 from repro.decoders import clear_lut_cache, dense_lut
 from repro.experiments.ler import BatchedLerExperiment
+from tests.test_batched_ler_equivalence import PerShotDecoder
 
 #: Physical error rate of the workload (mid-sweep, Fig 5.11 range).
 PER = 6e-3
@@ -35,16 +39,18 @@ REQUIRED_SPEEDUP = 3.0
 BUILD_ROUNDS = 200
 
 
-def _run(decoder_impl):
-    return BatchedLerExperiment(
+def _run(per_shot):
+    experiment = BatchedLerExperiment(
         PER,
         num_shots=SHOTS,
         use_pauli_frame=True,
         error_kind="x",
         windows=WINDOWS,
         seed=6,
-        decoder_impl=decoder_impl,
-    ).run_counts()
+    )
+    if per_shot:
+        experiment.decoder = PerShotDecoder(SHOTS)
+    return experiment.run_counts()
 
 
 def test_bench_e21_batched_decode_speedup(benchmark):
@@ -53,12 +59,12 @@ def test_bench_e21_batched_decode_speedup(benchmark):
     dense_lut(Z_CHECK_MATRIX)
 
     start = time.perf_counter()
-    per_shot_counts = _run("per-shot")
+    per_shot_counts = _run(per_shot=True)
     per_shot_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     batched_counts = benchmark.pedantic(
-        lambda: _run("batched"), rounds=1, iterations=1
+        lambda: _run(per_shot=False), rounds=1, iterations=1
     )
     batched_seconds = time.perf_counter() - start
 

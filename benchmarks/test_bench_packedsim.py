@@ -1,10 +1,10 @@
 """E22 -- bit-packed frame-differential engine vs the batched sampler.
 
-The acceptance bar for the packed engine: on the full SC17 adaptive
-LER workload at 100,000 lockstep shots, ``engine="packed-fast"`` must
-beat ``framesim`` by at least ``REQUIRED_SPEEDUP``.  The CI gate is
-4x (shared runners are noisy and slow); on a quiet local machine the
-measured speedup is ~11x, which is the paper-facing E22 number.
+The acceptance bar for the packed engine's fast RNG mode: at 100,000
+shots, the fast :class:`~repro.sim.packedsim.PackedFrameSampler` must
+beat the bool :class:`~repro.sim.framesim.BatchedFrameSampler` by at
+least ``REQUIRED_SPEEDUP``.  The CI gate is 4x (shared runners are
+noisy and slow).
 
 Two measurements:
 
@@ -12,11 +12,13 @@ Two measurements:
   unpacked :class:`~repro.sim.framesim.BatchedFrameSampler` against
   the packed sampler in both RNG modes.  The exact mode must return
   bit-identical samples (conformance is free here, so it is asserted
-  in passing); the fast mode carries the speedup,
+  in passing); the fast mode carries the speedup gate,
 * the full adaptive LER workload (sample + majority vote + LUT decode
   + frame feedback every window) through
-  :class:`~repro.experiments.ler.BatchedLerExperiment`, where the
-  packed engines keep syndromes as ``uint64`` words end to end.
+  :class:`~repro.experiments.ler.BatchedLerExperiment` on both
+  engines, ``exact`` and ``fast``: their rates are printed and their
+  LERs must land in the same regime.  The bool-array core this
+  workload used to be gated against no longer exists.
 
 Environment knobs (CI uses the defaults):
 
@@ -43,8 +45,8 @@ from repro.sim.packedsim import PackedFrameSampler
 PER = 6e-3
 #: Lockstep shots of the packed acceptance run.
 BATCH_SHOTS = int(os.environ.get("REPRO_E22_SHOTS", 100_000))
-#: Required speedup of packed-fast over framesim (CI gate; the local
-#: target in ISSUE/EXPERIMENTS is 10x and is met with margin).
+#: Required raw-sampling speedup of the fast packed sampler over the
+#: bool sampler (CI gate).
 REQUIRED_SPEEDUP = float(os.environ.get("REPRO_E22_MIN_SPEEDUP", 4.0))
 #: Windows per shot of the LER workload.
 WINDOWS = 3
@@ -119,35 +121,18 @@ def test_bench_e22_ler_workload_speedup(benchmark):
             engine=engine,
         ).run_counts()
 
-    reference, reference_rate = _rate(lambda: run("framesim"))
-    exact, exact_rate = _rate(lambda: run("packed"))
-    # Conformance, asserted in passing: the exact engine's counts are
-    # bit-identical to framesim at full benchmark scale.
-    assert np.array_equal(
-        reference.logical_errors, exact.logical_errors
-    )
-    assert np.array_equal(reference.clean_windows, exact.clean_windows)
+    exact, exact_rate = _rate(lambda: run("exact"))
 
     start = time.perf_counter()
-    fast = benchmark.pedantic(
-        lambda: run("packed-fast"), rounds=1, iterations=1
-    )
+    fast = benchmark.pedantic(lambda: run("fast"), rounds=1, iterations=1)
     fast_rate = BATCH_SHOTS / (time.perf_counter() - start)
 
-    speedup = fast_rate / reference_rate
     print("\n[E22] SC17 adaptive LER workload, shots/second:")
-    print(f"  framesim engine:       {reference_rate:12.1f}")
-    print(f"  packed (exact rng):    {exact_rate:12.1f}")
-    print(f"  packed-fast engine:    {fast_rate:12.1f}")
-    print(
-        f"  fast speedup:          {speedup:12.1f}x "
-        f"(gate {REQUIRED_SPEEDUP:.0f}x)"
-    )
-    assert speedup >= REQUIRED_SPEEDUP
+    print(f"  exact engine:          {exact_rate:12.1f}")
+    print(f"  fast engine:           {fast_rate:12.1f}")
+    print(f"  fast over exact:       {fast_rate / exact_rate:12.1f}x")
 
-    # Sanity: all three engines land in the same LER regime.
-    ler_reference = reference.logical_errors.sum() / (
-        BATCH_SHOTS * WINDOWS
-    )
+    # Sanity: both engines land in the same LER regime.
+    ler_exact = exact.logical_errors.sum() / (BATCH_SHOTS * WINDOWS)
     ler_fast = fast.logical_errors.sum() / (BATCH_SHOTS * WINDOWS)
-    assert 0.5 * ler_reference <= ler_fast <= 2.0 * ler_reference
+    assert 0.5 * ler_exact <= ler_fast <= 2.0 * ler_exact

@@ -100,10 +100,6 @@ OWNERSHIP_CONTRACTS: Dict[str, str] = {
         "register_decoder; runtime mutation only via the "
         "register/unregister test hooks"
     ),
-    "repro.decoders.registry:_ALIASES": (
-        "alias table of the decoder registry; same ownership as "
-        "_REGISTRY"
-    ),
     "repro.experiments.results:RESULT_KINDS": (
         "kind discriminator registry, populated by "
         "ResultBase.__init_subclass__ at class-definition time"

@@ -42,6 +42,8 @@ import argparse
 import sys
 from typing import Callable, List, Optional, Union
 
+from .sim.packedsim import ENGINES, resolve_engine
+
 
 def _add_output_arguments(
     parser: argparse.ArgumentParser, suppress: bool = True
@@ -82,16 +84,25 @@ def _add_output_arguments(
     )
 
 
+def _engine(text: str) -> str:
+    """argparse type of ``--engine``: the canonical engine name."""
+    try:
+        return resolve_engine(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    """The batched-core selector (ler and sweep, --batch mode)."""
+    """The frame-engine selector (ler and sweep, --batch mode)."""
     parser.add_argument(
         "--engine",
-        choices=["framesim", "packed", "packed-fast"],
-        default="framesim",
-        help="simulation core of --batch mode: 'framesim' (bool "
-        "arrays), 'packed' (64 shots per word, bit-identical "
-        "results), or 'packed-fast' (packed with word-level noise "
-        "draws; statistically identical, fastest)",
+        type=_engine,
+        choices=ENGINES,
+        default=ENGINES[0],
+        help="frame RNG mode of --batch mode (64 shots per word): "
+        "'exact' (default; the pinned golden stream) or 'fast' "
+        "(word-level noise draws; statistically identical, faster "
+        "from several thousand shots up)",
     )
 
 
@@ -108,6 +119,36 @@ def _add_decoder_argument(
         "parameters ride after a colon, e.g. "
         "'unionfind:time_weight=2'",
     )
+
+
+def _probability(text: str) -> float:
+    """argparse type of ``--per``: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text}"
+        )
+    return value
+
+
+def _code_distance(text: str) -> int:
+    """argparse type of ``--distances``: an odd int >= 3."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 3 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an odd code distance >= 3, got {value}"
+        )
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -165,6 +206,19 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: ``lint-circuit --target`` choices: the scalar cores, the batched
+#: core under its engine names, or no capability check.
+_LINT_TARGETS = ("stabilizer", "statevector", *ENGINES, "none")
+
+
+def _lint_target(text: str) -> str:
+    """argparse type of ``lint-circuit --target``: engine names
+    resolve to their canonical spelling."""
+    if text in ("stabilizer", "statevector", "none"):
+        return text
+    return _engine(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -193,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     ler = add_parser(
         "ler", help="one logical-error-rate point, both arms (section 5.3)"
     )
-    ler.add_argument("--per", type=float, default=5e-3)
+    ler.add_argument("--per", type=_probability, default=5e-3)
     ler.add_argument("--errors", type=int, default=10)
     ler.add_argument("--kind", choices=["x", "z"], default="x")
     ler.add_argument("--seed", type=int, default=0)
@@ -230,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--per",
-        type=float,
+        type=_probability,
         nargs="+",
         default=[3e-3, 6e-3, 1e-2],
         help="PER grid",
@@ -250,23 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
         "lockstep shot count per arm and each shot runs exactly this "
         "many windows",
     )
-    sweep.add_argument(
-        "--per-shot-decoder",
-        action="store_true",
-        help="deprecated spelling of --decoder per-shot-lut: in "
-        "--batch mode, decode with the per-shot reference engine "
-        "instead of the array-native batched decoder (bit-identical "
-        "results, for validation/benchmarking; incompatible with "
-        "--workers)",
-    )
     _add_engine_argument(sweep)
     _add_decoder_argument(sweep)
     _add_parallel_arguments(sweep)
 
     add_parser(
         "decoders",
-        help="list the registered decoders (names, aliases, "
-        "capabilities, parameters)",
+        help="list the registered decoders (names, capabilities, "
+        "parameters)",
     )
 
     add_parser(
@@ -285,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
         "distance", help="code-capacity distance scaling (ch. 6)"
     )
     distance.add_argument(
-        "--distances", type=int, nargs="+", default=[3, 5]
+        "--distances", type=_code_distance, nargs="+", default=[3, 5]
     )
     distance.add_argument(
-        "--per", type=float, nargs="+", default=[0.02, 0.05, 0.10]
+        "--per", type=_probability, nargs="+", default=[0.02, 0.05, 0.10]
     )
-    distance.add_argument("--trials", type=int, default=1500)
+    distance.add_argument("--trials", type=_positive_int, default=1500)
     distance.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(distance, default="mwpm")
 
@@ -299,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance scaling with measurement errors (ch. 6)",
     )
     phenom.add_argument(
-        "--distances", type=int, nargs="+", default=[3, 5]
+        "--distances", type=_code_distance, nargs="+", default=[3, 5]
     )
     phenom.add_argument(
-        "--per", type=float, nargs="+", default=[0.01, 0.02, 0.04]
+        "--per", type=_probability, nargs="+", default=[0.01, 0.02, 0.04]
     )
-    phenom.add_argument("--trials", type=int, default=400)
+    phenom.add_argument("--trials", type=_positive_int, default=400)
     phenom.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(phenom, default="mwpm")
 
@@ -313,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="circuit-level block memory at distance d (ch. 6)",
     )
     memory.add_argument(
-        "--distances", type=int, nargs="+", default=[3, 5]
+        "--distances", type=_code_distance, nargs="+", default=[3, 5]
     )
-    memory.add_argument("--per", type=float, default=1e-3)
-    memory.add_argument("--trials", type=int, default=200)
+    memory.add_argument("--per", type=_probability, default=1e-3)
+    memory.add_argument("--trials", type=_positive_int, default=200)
     memory.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(memory, default="mwpm")
 
@@ -354,12 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_circuit.add_argument(
         "--target",
-        choices=["stabilizer", "statevector", "packed", "none"],
+        type=_lint_target,
+        choices=_LINT_TARGETS,
         default="stabilizer",
         help="capability set the circuit's routing is checked "
-        "against (default: the stabilizer core; 'packed' is the "
-        "bit-packed batched core, which refuses non-Clifford "
-        "circuits)",
+        "against (default: the stabilizer core; an engine name, "
+        "'exact' or 'fast', is the bit-packed batched core, which "
+        "refuses non-Clifford circuits)",
     )
     lint_circuit.add_argument(
         "--initial-frame",
@@ -463,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
         "what",
         choices=["matrix"],
         help="matrix: verify every registered decoder x engine x "
-        "experiment combination, negotiate() contracts, serve "
-        "params validation and the documented --decoder grammar",
+        "experiment combination, the engine table against the "
+        "core's capabilities, serve params validation and the "
+        "documented --decoder grammar",
     )
 
     return parser
@@ -552,8 +599,8 @@ def _arm_report(aggregator, use_pauli_frame: bool):
 
 
 def _require_batch_for_engine(args) -> bool:
-    """Engines other than framesim exist only behind --batch."""
-    if args.engine != "framesim" and args.batch is None:
+    """A non-default engine exists only behind --batch."""
+    if args.engine != ENGINES[0] and args.batch is None:
         print(
             "--engine applies to the batched sampler only; "
             "add --batch WINDOWS/SHOTS to use it",
@@ -690,16 +737,20 @@ def cmd_sweep(args) -> int:
 
     if not _require_batch_for_engine(args):
         return 2
-    if args.per_shot_decoder:
-        if args.decoder != "lut":
-            print(
-                "--per-shot-decoder and --decoder are mutually "
-                "exclusive (the former is a deprecated spelling of "
-                "--decoder per-shot-lut)",
-                file=sys.stderr,
-            )
-            return 2
-        args.decoder = "per-shot-lut"
+    if args.workers is None:
+        for flag, given in (
+            ("--checkpoint", args.checkpoint is not None),
+            ("--resume", args.resume),
+            ("--target-ci", args.target_ci is not None),
+            ("--shard-shots", args.shard_shots is not None),
+        ):
+            if given:
+                print(
+                    f"{flag} applies to the sharded runner only; "
+                    f"add --workers N to use it",
+                    file=sys.stderr,
+                )
+                return 2
     decoder = _parse_decoder(args)
     if decoder is None:
         return 2
@@ -707,13 +758,6 @@ def cmd_sweep(args) -> int:
     if args.workers is not None:
         from .experiments.parallel import CheckpointError, run_parallel_sweep
 
-        if decoder_name == "per-shot-lut":
-            print(
-                "the per-shot reference decoder applies to the "
-                "in-process batch path only; drop --workers to use it",
-                file=sys.stderr,
-            )
-            return 2
         try:
             parallel = run_parallel_sweep(
                 per_values=args.per,
@@ -1018,7 +1062,16 @@ def cmd_report(args) -> int:
     from .experiments.results import TraceReport
     from .telemetry.report import aggregate_trace, load_trace
 
-    aggregate = aggregate_trace(load_trace(args.trace_file))
+    try:
+        records = load_trace(args.trace_file)
+    except OSError as error:
+        print(
+            f"report: cannot read trace {args.trace_file!r}: "
+            f"{error.strerror or error}",
+            file=sys.stderr,
+        )
+        return 2
+    aggregate = aggregate_trace(records)
     report = TraceReport(
         path=args.trace_file,
         spans=aggregate.span_rows(),
@@ -1051,13 +1104,14 @@ def cmd_lint_circuit(args) -> int:
         return 2
     if args.inject_t:
         circuit = inject_t_gate(circuit)
+    batched = frozenset({CAP_BATCH, CAP_PACKED})
     target = {
         "none": None,
         "stabilizer": frozenset(),
         "statevector": frozenset(
             {CAP_QUANTUM_STATE, CAP_NON_CLIFFORD}
         ),
-        "packed": frozenset({CAP_BATCH, CAP_PACKED}),
+        **dict.fromkeys(ENGINES, batched),
     }[args.target]
     analysis = verify_circuit(
         circuit,

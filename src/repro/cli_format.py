@@ -167,11 +167,10 @@ def render_bound(report: BoundReport) -> str:
 
 def render_decoders(report: DecodersReport) -> str:
     """The registered-decoder catalogue as a text table."""
-    lines = ["name           capabilities                 aliases"]
+    lines = ["name           capabilities"]
     for row in report.decoders:
         caps = ",".join(row["capabilities"])
-        aliases = ",".join(row["aliases"]) or "-"
-        lines.append(f"{row['name']:<14} {caps:<28} {aliases}")
+        lines.append(f"{row['name']:<14} {caps}")
         lines.append(f"    {row['summary']}")
         if row["params"]:
             lines.append(f"    params: {', '.join(row['params'])}")
@@ -377,9 +376,9 @@ def render_matrix_report(report: MatrixReport) -> str:
     """The ``repro analyze matrix`` capability-matrix summary."""
     lines = [
         f"capability matrix: {len(report.decoders)} decoder(s) x "
-        f"{len(report.engines)} engine(s) x "
         f"{len(report.experiments)} experiment(s), "
         f"{len(report.cells)} cells checked, "
+        f"engines {', '.join(report.engines)}, "
         f"{report.doc_examples} doc example(s) parsed"
     ]
     unsupported = [

@@ -2,7 +2,8 @@
 
 Scalar decoders (`LutDecoder`, `WindowedLutDecoder`, ...) decode one
 syndrome at a time; the :mod:`~repro.decoders.batched` layer decodes
-whole shot batches as numpy gathers over process-cached dense tables;
+whole shot batches of packed syndrome words as numpy gathers over
+process-cached dense tables;
 :mod:`~repro.decoders.unionfind` and :mod:`~repro.decoders.sparse`
 scale past the dense-table ceiling (d >= 15) over the same
 ``(shots, rounds, checks)`` arrays.  All of them register in the
@@ -12,8 +13,6 @@ and the serve fleet select decoders by name.
 
 from .batched import (
     BatchedWindowDecision,
-    BatchedWindowedLutDecoder,
-    BatchedWindowedMatchingDecoder,
     build_dense_lut,
     clear_lut_cache,
     dense_lut,
@@ -22,7 +21,6 @@ from .batched import (
     pack_syndromes,
     pack_syndromes_words,
     PackedWindowedLutDecoder,
-    PackedWindowedMatchingDecoder,
     unpack_syndromes,
 )
 from .lut import (
@@ -37,7 +35,6 @@ from .lut import (
 from .mwpm import MatchingGraph, MwpmDecoder, boundary_qubits_for
 from .registry import (
     CAP_EXACT,
-    CAP_PACKED_SYNDROMES,
     CAP_SPACETIME,
     CAP_SPARSE,
     CAP_WINDOWED,
@@ -51,7 +48,6 @@ from .registry import (
     format_decoder_arg,
     get_decoder,
     list_decoders,
-    negotiate,
     parse_decoder_arg,
     register_decoder,
     resolve_decoder_name,
@@ -66,17 +62,13 @@ from .rule_based import (
 )
 from .spacetime import SpaceTimeMatchingDecoder
 from .sparse import (
-    BatchedWindowedSparseMatchingDecoder,
-    PackedWindowedSparseMatchingDecoder,
     SparseMatchingGraph,
     SparseMwpmDecoder,
     SparseSpaceTimeMatchingDecoder,
     sparse_mwpm_dense_lut,
 )
 from .unionfind import (
-    BatchedWindowedUnionFindDecoder,
     DecodingGraph,
-    PackedWindowedUnionFindDecoder,
     SpaceTimeUnionFindDecoder,
     UnionFindDecoder,
     build_space_graph,
@@ -105,10 +97,7 @@ __all__ = [
     "SpaceTimeMatchingDecoder",
     "WindowedMatchingDecoder",
     "BatchedWindowDecision",
-    "BatchedWindowedLutDecoder",
-    "BatchedWindowedMatchingDecoder",
     "PackedWindowedLutDecoder",
-    "PackedWindowedMatchingDecoder",
     "pack_syndromes_words",
     "build_dense_lut",
     "dense_lut",
@@ -127,19 +116,14 @@ __all__ = [
     "UnionFindDecoder",
     "SpaceTimeUnionFindDecoder",
     "unionfind_dense_lut",
-    "BatchedWindowedUnionFindDecoder",
-    "PackedWindowedUnionFindDecoder",
     # sparse matching
     "SparseMatchingGraph",
     "SparseMwpmDecoder",
     "SparseSpaceTimeMatchingDecoder",
     "sparse_mwpm_dense_lut",
-    "BatchedWindowedSparseMatchingDecoder",
-    "PackedWindowedSparseMatchingDecoder",
     # registry
     "CAP_EXACT",
     "CAP_SPARSE",
-    "CAP_PACKED_SYNDROMES",
     "CAP_WINDOWED",
     "CAP_SPACETIME",
     "DecoderSpec",
@@ -154,7 +138,6 @@ __all__ = [
     "get_decoder",
     "list_decoders",
     "resolve_decoder_name",
-    "negotiate",
     "parse_decoder_arg",
     "format_decoder_arg",
 ]

@@ -17,11 +17,13 @@ Tomita–Svore (PRA 90, 062320), as the paper prescribes:
 * tables live behind a **process-level cache** keyed by the
   check-matrix digest, so any number of decoder instances — batched or
   scalar — share one build (``clear_lut_cache`` empties it);
-* :class:`BatchedWindowedLutDecoder` (and the matching-table variant
-  :class:`BatchedWindowedMatchingDecoder`) consume syndrome arrays of
-  shape ``(shots, rounds, checks)`` and run majority vote, syndrome
-  packing, LUT gather and the windowed carry-state as pure numpy,
-  returning per-shot decision arrays.
+* :class:`PackedWindowedLutDecoder` consumes the packed engine's
+  ``uint64`` syndrome word planes and runs majority vote, syndrome
+  packing, table gather and the windowed carry-state as word-wide
+  numpy, returning per-shot decision arrays.  Every registry decoder
+  of the windowed protocol is this class over its own dense tables
+  (:func:`dense_lut`, :func:`mwpm_dense_lut` and the union-find and
+  sparse-matching table functions).
 
 Bit-for-bit equivalence with the per-shot
 :class:`~repro.decoders.rule_based.WindowedLutDecoder` on identical
@@ -38,6 +40,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..sim.packedsim import pack_bits, packed_majority, unpack_bits
 from .. import telemetry
 
 #: Dense tables hold ``2^num_checks`` rows; refuse to allocate
@@ -117,8 +120,6 @@ def pack_syndromes_words(
     ``pack_syndromes(bits)`` would produce from the equivalent
     ``(num_shots, num_checks)`` bool array.
     """
-    from ..sim.packedsim import unpack_bits
-
     planes = np.asarray(planes, dtype=np.uint64)
     packed = np.zeros(num_shots, dtype=np.int64)
     for check in range(planes.shape[0]):
@@ -300,56 +301,67 @@ class BatchedWindowDecision:
     voted_z: np.ndarray
 
 
-class BatchedWindowedLutDecoder:
-    """All-shots-at-once counterpart of ``WindowedLutDecoder``.
+class PackedWindowedLutDecoder:
+    """All-shots-at-once windowed decoding over bit-packed syndromes.
 
-    Same protocol as the scalar decoder — three-round majority vote
-    (Tomita–Svore rule), two-LUT minimum-weight decoding, corrected-
-    frame carry-state — but every step is one numpy operation over the
-    shot axis: the vote is a sum along the rounds axis, the LUT lookup
-    is a gather ``table[packed]``, and the carry-state re-expression
-    is a batched matmul-XOR.
+    The same protocol as the scalar
+    :class:`~repro.decoders.rule_based.WindowedLutDecoder` — three-
+    round majority vote (Tomita–Svore rule), two-table decoding,
+    corrected-frame carry-state — for every shot at once.  The
+    :class:`~repro.qpdo.packed_core.PackedStabilizerCore` hands back
+    syndromes as ``uint64`` word planes, and this decoder keeps them
+    packed through the vote and the carry-state, unpacking only at the
+    table gather (the table is indexed per shot no matter what).
+    Round arrays are passed as ``(rounds, checks, num_words)``
+    ``uint64`` — leading rounds axis, the
+    :func:`repro.sim.packedsim.packed_majority` convention:
+
+    * the majority vote is the bit-sliced popcount comparator of
+      :func:`~repro.sim.packedsim.packed_majority`;
+    * syndrome packing is :func:`pack_syndromes_words`;
+    * decoding is one gather ``table[packed]`` per species;
+    * the carry-state is stored as word planes and re-expressed in the
+      corrected frame by packing the correction syndromes once.
 
     Parameters
     ----------
     x_check_matrix, z_check_matrix:
         CSS check matrices (X-type rows detect Z errors, Z-type rows
         detect X errors).
+    num_shots:
+        Valid shot count of the word planes.
+    tables:
+        The dense decoding tables ``(x_table, z_table)``: ``x_table``
+        maps packed X-type syndromes to Z corrections, ``z_table``
+        packed Z-type syndromes to X corrections (the
+        :class:`~repro.decoders.lut.TwoLutDecoder` pairing).  Each
+        registry entry passes its own: :func:`dense_lut`,
+        :func:`mwpm_dense_lut` and friends.
     use_majority_vote:
         Ablation knob, as in the scalar decoder: with ``False`` only
         the last round of each window is decoded.
 
-    Syndrome arrays are passed as ``(shots, rounds, checks)`` (one
-    array per species); decisions come back as
-    :class:`BatchedWindowDecision` arrays.  Decisions are bit-identical
-    to running one scalar decoder per shot on the same streams.
+    Decisions (:class:`BatchedWindowDecision`) are bit-identical to
+    running one scalar decoder per shot on the same streams.
     """
 
     def __init__(
         self,
         x_check_matrix: np.ndarray,
         z_check_matrix: np.ndarray,
+        num_shots: int,
+        tables: Tuple[np.ndarray, np.ndarray],
         use_majority_vote: bool = True,
     ) -> None:
+        if num_shots < 1:
+            raise ValueError("num_shots must be positive")
         self.x_check_matrix = np.asarray(x_check_matrix, dtype=np.uint8)
         self.z_check_matrix = np.asarray(z_check_matrix, dtype=np.uint8)
+        self.num_shots = int(num_shots)
         self.use_majority_vote = bool(use_majority_vote)
-        self._z_error_table = self._build_table(
-            self.x_check_matrix, "x"
-        )
-        self._x_error_table = self._build_table(
-            self.z_check_matrix, "z"
-        )
-        self._previous_x: np.ndarray | None = None
-        self._previous_z: np.ndarray | None = None
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        """The dense decoding table for one check species."""
-        del species  # used by the matching subclass
-        table, _ = dense_lut(check_matrix)
-        return table
+        self._z_error_table, self._x_error_table = tables
+        self._previous_x_words: np.ndarray | None = None
+        self._previous_z_words: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def initialize(
@@ -358,232 +370,14 @@ class BatchedWindowedLutDecoder:
         """Consume the ``d`` initialization rounds for every shot.
 
         ``x_rounds`` / ``z_rounds`` have shape
-        ``(shots, rounds, checks)``; the round count must be odd, as in
-        the scalar decoder.
+        ``(rounds, checks, num_words)``; the round count must be odd,
+        as in the scalar decoder.
         """
-        x_rounds = np.asarray(x_rounds, dtype=bool)
-        z_rounds = np.asarray(z_rounds, dtype=bool)
-        if x_rounds.shape[1] % 2 == 0:
-            raise ValueError("initialization needs an odd number of rounds")
-        return self._decide(
-            _vote(x_rounds),
-            _vote(z_rounds),
-            x_rounds[:, -1],
-            z_rounds[:, -1],
-        )
-
-    def decode_window(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> BatchedWindowDecision:
-        """Decode one window of ESM rounds for every shot (Fig. 5.9)."""
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode_window(x_rounds, z_rounds)
-        with t.span(
-            "decoder.batched",
-            type(self).__name__ + ".decode_window",
-            shots=int(np.asarray(x_rounds).shape[0]),
-            rounds=int(np.asarray(x_rounds).shape[1]),
-        ):
-            return self._decode_window(x_rounds, z_rounds)
-
-    def _decode_window(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> BatchedWindowDecision:
-        if self._previous_x is None or self._previous_z is None:
-            raise RuntimeError("decoder not initialized; call initialize()")
-        x_rounds = np.asarray(x_rounds, dtype=bool)
-        z_rounds = np.asarray(z_rounds, dtype=bool)
-        if not self.use_majority_vote:
-            return self._decide(
-                x_rounds[:, -1],
-                z_rounds[:, -1],
-                x_rounds[:, -1],
-                z_rounds[:, -1],
-            )
-        history_x = np.concatenate(
-            [self._previous_x[:, np.newaxis, :], x_rounds], axis=1
-        )
-        history_z = np.concatenate(
-            [self._previous_z[:, np.newaxis, :], z_rounds], axis=1
-        )
-        if history_x.shape[1] % 2 == 0:
-            # Even total: drop the oldest round so the vote stays
-            # well-defined (only non-default window sizes hit this).
-            history_x = history_x[:, 1:]
-            history_z = history_z[:, 1:]
-        return self._decide(
-            _vote(history_x),
-            _vote(history_z),
-            x_rounds[:, -1],
-            z_rounds[:, -1],
-        )
-
-    # ------------------------------------------------------------------
-    def _decide(
-        self,
-        voted_x: np.ndarray,
-        voted_z: np.ndarray,
-        last_x: np.ndarray,
-        last_z: np.ndarray,
-    ) -> BatchedWindowDecision:
-        # LUT gather: X-type syndromes select Z corrections and vice
-        # versa, exactly the TwoLutDecoder pairing.
-        z_corrections = self._z_error_table[pack_syndromes(voted_x)]
-        x_corrections = self._x_error_table[pack_syndromes(voted_z)]
-        # Carry-state: the stored newest round is re-expressed in the
-        # corrected frame — commanded Z corrections flip X-check
-        # parities and commanded X corrections flip Z-check parities.
-        self._previous_x = last_x ^ _syndromes_of(
-            self.x_check_matrix, z_corrections
-        )
-        self._previous_z = last_z ^ _syndromes_of(
-            self.z_check_matrix, x_corrections
-        )
-        has_corrections = x_corrections.any(axis=1) | z_corrections.any(
-            axis=1
-        )
-        t = telemetry.ACTIVE
-        if t is not None:
-            name = type(self).__name__
-            t.count("decoder.batched", name, "batch_decisions")
-            t.count(
-                "decoder.batched",
-                name,
-                "shots",
-                int(voted_x.shape[0]),
-            )
-            t.count(
-                "decoder.batched",
-                name,
-                "x_correction_weight",
-                int(x_corrections.sum()),
-            )
-            t.count(
-                "decoder.batched",
-                name,
-                "z_correction_weight",
-                int(z_corrections.sum()),
-            )
-        return BatchedWindowDecision(
-            x_corrections=x_corrections,
-            z_corrections=z_corrections,
-            has_corrections=has_corrections,
-            voted_x=voted_x,
-            voted_z=voted_z,
-        )
-
-    def reset(self) -> None:
-        """Forget all history (before re-initializing the batch)."""
-        self._previous_x = None
-        self._previous_z = None
-
-
-class BatchedWindowedMatchingDecoder(BatchedWindowedLutDecoder):
-    """Batched windowed decoding over dense MWPM tables.
-
-    The batched counterpart of
-    :class:`~repro.decoders.rule_based.WindowedMatchingDecoder`: the
-    same array-native vote/carry machinery, with the gather tables
-    filled by Blossom matching (:func:`mwpm_dense_lut`) instead of
-    minimum-weight enumeration — so the matching decoder's decisions
-    also become one gather per window.
-
-    Parameters
-    ----------
-    code:
-        A :class:`repro.codes.rotated.layout.RotatedSurfaceCode`.
-    x_check_matrix, z_check_matrix:
-        Optional explicit check matrices; default to the code's.  The
-        Surface-17 LER pipeline passes its own (row-permuted) layout
-        matrices while reusing the ``d = 3`` boundary geometry.
-    use_majority_vote:
-        Same ablation knob as the LUT variant.
-    """
-
-    def __init__(
-        self,
-        code,
-        x_check_matrix: np.ndarray | None = None,
-        z_check_matrix: np.ndarray | None = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = mwpm_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table
-
-
-class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
-    """Windowed LUT decoding over bit-packed syndrome planes.
-
-    The :class:`~repro.qpdo.packed_core.PackedStabilizerCore` hands
-    back syndromes as ``uint64`` word planes; this decoder keeps them
-    packed through the vote and the carry-state, unpacking only at the
-    LUT gather (the table is indexed per shot no matter what).  Round
-    arrays are passed as ``(rounds, checks, num_words)`` ``uint64`` —
-    leading rounds axis, the :func:`repro.sim.packedsim.packed_majority`
-    convention — instead of the parent's ``(shots, rounds, checks)``
-    bools:
-
-    * the majority vote is the bit-sliced popcount comparator of
-      :func:`~repro.sim.packedsim.packed_majority`;
-    * syndrome packing is :func:`pack_syndromes_words`;
-    * the carry-state is stored as word planes and re-expressed in the
-      corrected frame by packing the correction syndromes once.
-
-    Decisions (:class:`BatchedWindowDecision`) are bit-identical to the
-    parent decoder fed the unpacked equivalent of the same streams.
-    """
-
-    def __init__(
-        self,
-        x_check_matrix: np.ndarray,
-        z_check_matrix: np.ndarray,
-        num_shots: int,
-        use_majority_vote: bool = True,
-    ) -> None:
-        super().__init__(
-            x_check_matrix, z_check_matrix, use_majority_vote
-        )
-        if num_shots < 1:
-            raise ValueError("num_shots must be positive")
-        self.num_shots = int(num_shots)
-        self._previous_x_words: np.ndarray | None = None
-        self._previous_z_words: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    def initialize(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> BatchedWindowDecision:
-        """Consume the initialization rounds, packed layout.
-
-        ``x_rounds`` / ``z_rounds`` have shape
-        ``(rounds, checks, num_words)``; the round count must be odd.
-        """
-        from ..sim.packedsim import packed_majority
-
         x_rounds = np.asarray(x_rounds, dtype=np.uint64)
         z_rounds = np.asarray(z_rounds, dtype=np.uint64)
         if x_rounds.shape[0] % 2 == 0:
             raise ValueError("initialization needs an odd number of rounds")
-        return self._decide_words(
+        return self._decide(
             packed_majority(x_rounds),
             packed_majority(z_rounds),
             x_rounds[-1],
@@ -593,7 +387,7 @@ class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
     def decode_window(
         self, x_rounds: np.ndarray, z_rounds: np.ndarray
     ) -> BatchedWindowDecision:
-        """Decode one packed window of ESM rounds for every shot."""
+        """Decode one window of ESM rounds for every shot (Fig. 5.9)."""
         t = telemetry.ACTIVE
         if t is None:
             return self._decode_window(x_rounds, z_rounds)
@@ -608,14 +402,12 @@ class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
     def _decode_window(
         self, x_rounds: np.ndarray, z_rounds: np.ndarray
     ) -> BatchedWindowDecision:
-        from ..sim.packedsim import packed_majority
-
         if self._previous_x_words is None or self._previous_z_words is None:
             raise RuntimeError("decoder not initialized; call initialize()")
         x_rounds = np.asarray(x_rounds, dtype=np.uint64)
         z_rounds = np.asarray(z_rounds, dtype=np.uint64)
         if not self.use_majority_vote:
-            return self._decide_words(
+            return self._decide(
                 x_rounds[-1],
                 z_rounds[-1],
                 x_rounds[-1],
@@ -628,10 +420,11 @@ class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
             [self._previous_z_words[np.newaxis], z_rounds], axis=0
         )
         if history_x.shape[0] % 2 == 0:
-            # Even total: drop the oldest round, as in the parent.
+            # Even total: drop the oldest round so the vote stays
+            # well-defined (only non-default window sizes hit this).
             history_x = history_x[1:]
             history_z = history_z[1:]
-        return self._decide_words(
+        return self._decide(
             packed_majority(history_x),
             packed_majority(history_z),
             x_rounds[-1],
@@ -639,21 +432,22 @@ class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
         )
 
     # ------------------------------------------------------------------
-    def _decide_words(
+    def _decide(
         self,
         voted_x_words: np.ndarray,
         voted_z_words: np.ndarray,
         last_x_words: np.ndarray,
         last_z_words: np.ndarray,
     ) -> BatchedWindowDecision:
-        from ..sim.packedsim import pack_bits
-
+        # Table gather: X-type syndromes select Z corrections and vice
+        # versa, exactly the TwoLutDecoder pairing.
         packed_x = pack_syndromes_words(voted_x_words, self.num_shots)
         packed_z = pack_syndromes_words(voted_z_words, self.num_shots)
         z_corrections = self._z_error_table[packed_x]
         x_corrections = self._x_error_table[packed_z]
-        # Carry-state, packed: XOR the newest round's word planes with
-        # the packed syndromes of the commanded corrections.
+        # Carry-state: the stored newest round is re-expressed in the
+        # corrected frame — commanded Z corrections flip X-check
+        # parities and commanded X corrections flip Z-check parities.
         self._previous_x_words = last_x_words ^ pack_bits(
             _syndromes_of(self.x_check_matrix, z_corrections).T
         )
@@ -694,55 +488,8 @@ class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
 
     def reset(self) -> None:
         """Forget all history (before re-initializing the batch)."""
-        super().reset()
         self._previous_x_words = None
         self._previous_z_words = None
-
-
-class PackedWindowedMatchingDecoder(PackedWindowedLutDecoder):
-    """Word-space windowed decoding over dense MWPM tables.
-
-    The packed counterpart of
-    :class:`BatchedWindowedMatchingDecoder`: syndromes stay as
-    ``uint64`` word planes through the vote and carry-state
-    (:class:`PackedWindowedLutDecoder` machinery) and the Blossom
-    gather table is indexed per shot at the decode.
-    """
-
-    def __init__(
-        self,
-        code,
-        num_shots: int,
-        x_check_matrix: np.ndarray | None = None,
-        z_check_matrix: np.ndarray | None = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            num_shots,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = mwpm_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table
-
-
-def _vote(rounds: np.ndarray) -> np.ndarray:
-    """Per-bit majority along the rounds axis of ``(shots, R, k)``."""
-    return rounds.sum(axis=1, dtype=np.int64) * 2 > rounds.shape[1]
 
 
 def _syndromes_of(

@@ -9,16 +9,18 @@ registry:
 * every decoder registers a :class:`RegisteredDecoder` — canonical
   ``name``, one-line ``summary``, a frozenset of **capability flags**
   and the builder callables for the contexts it supports;
-* consumers call :func:`get_decoder` (legacy names resolve through
-  deprecated aliases, warning once per use, per the PR 3 pattern),
-  then ``spec.build(code, window)`` for the Surface-17 windowed
-  protocol or ``spec.build_space`` / ``spec.build_spacetime`` for the
-  code-capacity and phenomenological scaling experiments;
-* **capability negotiation**: :func:`negotiate` checks a decoder
-  against a stack element's :meth:`~repro.qpdo.core.Core.supports` —
-  a packed core (:data:`~repro.qpdo.core.CAP_PACKED`) requires
-  :data:`CAP_PACKED_SYNDROMES`, mirroring how the packed engine
-  refuses non-Clifford circuits.
+* consumers call :func:`get_decoder`, then ``spec.build(code,
+  window)`` for the Surface-17 windowed protocol or
+  ``spec.build_space`` / ``spec.build_spacetime`` for the
+  code-capacity and phenomenological scaling experiments.
+
+Every built-in windowed decoder is one
+:class:`~repro.decoders.batched.PackedWindowedLutDecoder` over the
+entry's own dense tables (:func:`~repro.decoders.batched.dense_lut`,
+:func:`~repro.decoders.batched.mwpm_dense_lut`,
+:func:`~repro.decoders.unionfind.unionfind_dense_lut` or
+:func:`~repro.decoders.sparse.sparse_mwpm_dense_lut`); it consumes the
+packed engine's ``uint64`` syndrome word planes directly.
 
 Capability flags:
 
@@ -27,8 +29,6 @@ Capability flags:
                              LUT-identical corrections
 :data:`CAP_SPARSE`           scales past the dense-LUT check-count
                              ceiling (no ``2^checks`` tables)
-:data:`CAP_PACKED_SYNDROMES` consumable by a packed (word-plane)
-                             engine
 :data:`CAP_WINDOWED`         builds the SC17 windowed protocol form
 :data:`CAP_SPACETIME`        builds space / space-time graph forms
 =========================== =======================================
@@ -40,8 +40,7 @@ The CLI surfaces the registry as ``repro decoders`` and accepts
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -57,15 +56,11 @@ try:  # pragma: no cover - typing_extensions not required at runtime
 except ImportError:  # pragma: no cover - py3.7 fallback
     Protocol = object  # type: ignore[assignment]
 
-from ..qpdo.core import CAP_PACKED, Core, UnsupportedFeatureError
-
 #: Corrections are provably minimum-weight (or bit-identical to the
 #: reference LUT protocol) — what the golden digests pin.
 CAP_EXACT = "exact"
 #: No dense ``2^checks`` table anywhere: usable at d >= 15.
 CAP_SPARSE = "sparse"
-#: Has a word-plane form the packed engine can drive directly.
-CAP_PACKED_SYNDROMES = "packed-syndromes"
 #: Builds the Surface-17 windowed-protocol decoder.
 CAP_WINDOWED = "windowed"
 #: Builds single-species space / space-time graph decoders.
@@ -77,11 +72,11 @@ class DecoderRegistryError(ValueError):
 
 
 class UnknownDecoderError(DecoderRegistryError):
-    """No decoder (or alias) registered under the requested name."""
+    """No decoder registered under the requested name."""
 
 
 class DuplicateDecoderError(DecoderRegistryError):
-    """A decoder or alias name was registered twice."""
+    """A decoder name was registered twice."""
 
 
 class CapabilityError(DecoderRegistryError):
@@ -102,9 +97,8 @@ class WindowContext:
         (:func:`~repro.decoders.mwpm.boundary_qubits_for` must accept
         it); data-qubit labelling must match the check matrices.
     num_shots:
-        ``None`` for bool-array shots; set when the engine emits
-        packed ``uint64`` word planes (selects the packed decoder
-        form).
+        Valid shot count of the engine's ``uint64`` syndrome word
+        planes.
     use_majority_vote:
         The Tomita–Svore cross-round vote ablation knob.
     """
@@ -112,7 +106,7 @@ class WindowContext:
     x_check_matrix: Any
     z_check_matrix: Any
     code: Any
-    num_shots: Optional[int] = None
+    num_shots: int
     use_majority_vote: bool = True
 
 
@@ -148,10 +142,6 @@ class RegisteredDecoder:
     spacetime_builder: Optional[Callable[..., Any]] = None
     #: Keyword parameters the graph builders accept (CLI-settable).
     graph_params: Tuple[str, ...] = ()
-    #: The windowed build returns one *scalar per-shot* decoder that
-    #: the experiment must replicate per shot (the reference arm).
-    per_shot: bool = False
-    aliases: Tuple[str, ...] = field(default=())
 
     # ------------------------------------------------------------------
     def build(
@@ -229,69 +219,43 @@ class RegisteredDecoder:
             "name": self.name,
             "summary": self.summary,
             "capabilities": sorted(self.capabilities),
-            "aliases": list(self.aliases),
             "params": list(self.graph_params),
         }
 
 
 _REGISTRY: Dict[str, RegisteredDecoder] = {}
-_ALIASES: Dict[str, str] = {}
 
 
-def register_decoder(
-    spec: RegisteredDecoder, aliases: Sequence[str] = ()
-) -> RegisteredDecoder:
-    """Add ``spec`` to the registry; ``aliases`` resolve with a
-    :class:`DeprecationWarning` (legacy ``decoder_impl`` strings).
+def register_decoder(spec: RegisteredDecoder) -> RegisteredDecoder:
+    """Add ``spec`` to the registry.
 
-    Raises :class:`DuplicateDecoderError` when the name or any alias
-    is already taken.
+    Raises :class:`DuplicateDecoderError` when the name is taken.
     """
-    all_aliases = tuple(spec.aliases) + tuple(aliases)
-    for name in (spec.name, *all_aliases):
-        if name in _REGISTRY or name in _ALIASES:
-            raise DuplicateDecoderError(
-                f"decoder name {name!r} already registered"
-            )
-    spec = RegisteredDecoder(
-        **{**spec.__dict__, "aliases": all_aliases}
-    )
+    if spec.name in _REGISTRY:
+        raise DuplicateDecoderError(
+            f"decoder name {spec.name!r} already registered"
+        )
     _REGISTRY[spec.name] = spec
-    for alias in all_aliases:
-        _ALIASES[alias] = spec.name
     return spec
 
 
 def unregister_decoder(name: str) -> None:
-    """Remove a decoder and its aliases (test hygiene helper)."""
-    spec = _REGISTRY.pop(name, None)
-    if spec is None:
+    """Remove a decoder (test hygiene helper)."""
+    if _REGISTRY.pop(name, None) is None:
         raise UnknownDecoderError(f"unknown decoder {name!r}")
-    for alias in spec.aliases:
-        _ALIASES.pop(alias, None)
 
 
 def resolve_decoder_name(name: str) -> str:
-    """Canonical name of ``name``; deprecated aliases warn."""
+    """``name`` itself when registered, else :class:`UnknownDecoderError`."""
     if name in _REGISTRY:
         return name
-    target = _ALIASES.get(name)
-    if target is not None:
-        warnings.warn(
-            f"decoder name {name!r} is deprecated; use "
-            f"{target!r} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return target
-    known = sorted(_REGISTRY) + sorted(_ALIASES)
     raise UnknownDecoderError(
-        f"unknown decoder {name!r}; registered: {known}"
+        f"unknown decoder {name!r}; registered: {sorted(_REGISTRY)}"
     )
 
 
 def get_decoder(name: str) -> RegisteredDecoder:
-    """The :class:`RegisteredDecoder` under ``name`` (or alias)."""
+    """The :class:`RegisteredDecoder` under ``name``."""
     return _REGISTRY[resolve_decoder_name(name)]
 
 
@@ -300,35 +264,12 @@ def list_decoders() -> List[RegisteredDecoder]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def negotiate(
-    spec: RegisteredDecoder, core: Optional[Core] = None
-) -> RegisteredDecoder:
-    """Refuse decoder/engine pairings the capabilities rule out.
-
-    A core advertising :data:`~repro.qpdo.core.CAP_PACKED` emits
-    word-plane syndromes, so the decoder must carry
-    :data:`CAP_PACKED_SYNDROMES`.  Returns ``spec`` for chaining.
-    """
-    if (
-        core is not None
-        and core.supports(CAP_PACKED)
-        and CAP_PACKED_SYNDROMES not in spec.capabilities
-    ):
-        raise UnsupportedFeatureError(
-            f"decoder {spec.name!r} cannot consume the packed "
-            f"engine's word-plane syndromes (capability "
-            f"{CAP_PACKED_SYNDROMES!r} missing)"
-        )
-    return spec
-
-
 def parse_decoder_arg(value: str) -> Tuple[str, Dict[str, Any]]:
     """Parse a ``--decoder name[:key=value,...]`` CLI argument.
 
     Values coerce to ``int`` / ``float`` / ``bool`` when they look
-    like one, else stay strings.  The name may be a deprecated alias
-    (resolution — and its warning — happens at :func:`get_decoder`
-    time, not here).
+    like one, else stay strings.  The name is not resolved here
+    (:func:`get_decoder` does that).
     """
     name, _, tail = value.partition(":")
     name = name.strip()
@@ -380,111 +321,64 @@ def _coerce(raw: str) -> Any:
 # ----------------------------------------------------------------------
 # Built-in decoders
 # ----------------------------------------------------------------------
-def _window_matrices(window: WindowContext) -> Tuple[Any, Any]:
-    return window.x_check_matrix, window.z_check_matrix
+def _windowed(
+    dense_table: Callable[[Any, Any, str], Any],
+) -> Callable[[Any, WindowContext], Any]:
+    """Window builder of a dense-table decoder.
 
+    ``dense_table(check_matrix, code, species)`` returns the decoding
+    table of one check species; the build is one
+    :class:`~repro.decoders.batched.PackedWindowedLutDecoder` over the
+    two tables.
+    """
 
-def _build_lut_window(code: Any, window: WindowContext) -> Any:
-    from .batched import (
-        BatchedWindowedLutDecoder,
-        PackedWindowedLutDecoder,
-    )
+    def build(code: Any, window: WindowContext) -> Any:
+        from .batched import PackedWindowedLutDecoder
 
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
+        x_check, z_check = window.x_check_matrix, window.z_check_matrix
         return PackedWindowedLutDecoder(
             x_check,
             z_check,
             num_shots=window.num_shots,
+            tables=(
+                dense_table(x_check, window.code, "x"),
+                dense_table(z_check, window.code, "z"),
+            ),
             use_majority_vote=window.use_majority_vote,
         )
-    return BatchedWindowedLutDecoder(
-        x_check,
-        z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
+
+    return build
 
 
-def _build_per_shot_lut_window(
-    code: Any, window: WindowContext
-) -> Any:
-    from .rule_based import WindowedLutDecoder
+def _lut_table(check: Any, code: Any, species: str) -> Any:
+    from .batched import dense_lut
 
-    x_check, z_check = _window_matrices(window)
-    return WindowedLutDecoder(
-        x_check,
-        z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
+    return dense_lut(check)[0]
 
 
-def _build_mwpm_window(code: Any, window: WindowContext) -> Any:
-    from .batched import (
-        BatchedWindowedMatchingDecoder,
-        PackedWindowedMatchingDecoder,
-    )
+def _mwpm_table(check: Any, code: Any, species: str) -> Any:
+    from .batched import mwpm_dense_lut
+    from .mwpm import boundary_qubits_for
 
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedMatchingDecoder(
-            window.code,
-            num_shots=window.num_shots,
-            x_check_matrix=x_check,
-            z_check_matrix=z_check,
-            use_majority_vote=window.use_majority_vote,
-        )
-    return BatchedWindowedMatchingDecoder(
-        window.code,
-        x_check_matrix=x_check,
-        z_check_matrix=z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
+    return mwpm_dense_lut(check, boundary_qubits_for(code, species))[0]
 
 
-def _build_unionfind_window(code: Any, window: WindowContext) -> Any:
-    from .unionfind import (
-        BatchedWindowedUnionFindDecoder,
-        PackedWindowedUnionFindDecoder,
-    )
+def _unionfind_table(check: Any, code: Any, species: str) -> Any:
+    from .mwpm import boundary_qubits_for
+    from .unionfind import unionfind_dense_lut
 
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedUnionFindDecoder(
-            window.code,
-            num_shots=window.num_shots,
-            x_check_matrix=x_check,
-            z_check_matrix=z_check,
-            use_majority_vote=window.use_majority_vote,
-        )
-    return BatchedWindowedUnionFindDecoder(
-        window.code,
-        x_check_matrix=x_check,
-        z_check_matrix=z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
+    return unionfind_dense_lut(
+        check, boundary_qubits_for(code, species)
+    )[0]
 
 
-def _build_sparse_window(code: Any, window: WindowContext) -> Any:
-    from .sparse import (
-        BatchedWindowedSparseMatchingDecoder,
-        PackedWindowedSparseMatchingDecoder,
-    )
+def _sparse_table(check: Any, code: Any, species: str) -> Any:
+    from .mwpm import boundary_qubits_for
+    from .sparse import sparse_mwpm_dense_lut
 
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedSparseMatchingDecoder(
-            window.code,
-            num_shots=window.num_shots,
-            x_check_matrix=x_check,
-            z_check_matrix=z_check,
-            use_majority_vote=window.use_majority_vote,
-        )
-    return BatchedWindowedSparseMatchingDecoder(
-        window.code,
-        x_check_matrix=x_check,
-        z_check_matrix=z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
+    return sparse_mwpm_dense_lut(
+        check, boundary_qubits_for(code, species)
+    )[0]
 
 
 def _space_mwpm(check: Any, boundary: Sequence[int]) -> Any:
@@ -537,27 +431,9 @@ def _register_builtins() -> None:
                 "dense minimum-weight lookup tables, batched "
                 "gather decoding (exact, SC17-sized codes)"
             ),
-            capabilities=frozenset(
-                (CAP_EXACT, CAP_WINDOWED, CAP_PACKED_SYNDROMES)
-            ),
-            window_builder=_build_lut_window,
-        ),
-        aliases=("batched",),
-    )
-    register_decoder(
-        RegisteredDecoder(
-            name="per-shot-lut",
-            summary=(
-                "one scalar windowed LUT decoder per shot (the "
-                "bit-identical reference arm)"
-            ),
-            capabilities=frozenset(
-                (CAP_EXACT, CAP_WINDOWED, CAP_PACKED_SYNDROMES)
-            ),
-            window_builder=_build_per_shot_lut_window,
-            per_shot=True,
-        ),
-        aliases=("per-shot",),
+            capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
+            window_builder=_windowed(_lut_table),
+        )
     )
     register_decoder(
         RegisteredDecoder(
@@ -567,14 +443,9 @@ def _register_builtins() -> None:
                 "(networkx; windowed tables + space-time graphs)"
             ),
             capabilities=frozenset(
-                (
-                    CAP_EXACT,
-                    CAP_WINDOWED,
-                    CAP_SPACETIME,
-                    CAP_PACKED_SYNDROMES,
-                )
+                (CAP_EXACT, CAP_WINDOWED, CAP_SPACETIME)
             ),
-            window_builder=_build_mwpm_window,
+            window_builder=_windowed(_mwpm_table),
             space_builder=_space_mwpm,
             spacetime_builder=_spacetime_mwpm,
             graph_params=("time_weight",),
@@ -588,14 +459,9 @@ def _register_builtins() -> None:
                 "peeling); almost-linear, scales to d >= 15"
             ),
             capabilities=frozenset(
-                (
-                    CAP_SPARSE,
-                    CAP_WINDOWED,
-                    CAP_SPACETIME,
-                    CAP_PACKED_SYNDROMES,
-                )
+                (CAP_SPARSE, CAP_WINDOWED, CAP_SPACETIME)
             ),
-            window_builder=_build_unionfind_window,
+            window_builder=_windowed(_unionfind_table),
             space_builder=_space_unionfind,
             spacetime_builder=_spacetime_unionfind,
             graph_params=("time_weight",),
@@ -609,14 +475,9 @@ def _register_builtins() -> None:
                 "exact subset-DP pairing (greedy past 16 defects)"
             ),
             capabilities=frozenset(
-                (
-                    CAP_SPARSE,
-                    CAP_WINDOWED,
-                    CAP_SPACETIME,
-                    CAP_PACKED_SYNDROMES,
-                )
+                (CAP_SPARSE, CAP_WINDOWED, CAP_SPACETIME)
             ),
-            window_builder=_build_sparse_window,
+            window_builder=_windowed(_sparse_table),
             space_builder=_space_sparse,
             spacetime_builder=_spacetime_sparse,
             graph_params=("time_weight",),

@@ -32,11 +32,9 @@ dedupes identical syndromes with one ``np.unique`` — the Python-level
 work scales with the number of *distinct* syndromes, not with shots.
 
 For the Surface-17 windowed protocol the decoder also exists in dense
-gather-table form (:func:`unionfind_dense_lut`,
-:class:`BatchedWindowedUnionFindDecoder`,
-:class:`PackedWindowedUnionFindDecoder`), so it plugs into the
-batched LER pipeline and the packed engine's word-space syndromes
-exactly like the LUT and MWPM decoders.
+gather-table form (:func:`unionfind_dense_lut`), which the registry
+hands to :class:`~repro.decoders.batched.PackedWindowedLutDecoder`
+exactly like the LUT and MWPM tables.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ import numpy as np
 from .. import telemetry
 from .batched import (
     MAX_DENSE_CHECKS,
-    BatchedWindowedLutDecoder,
-    PackedWindowedLutDecoder,
     _cached_table,
     _check_digest,
     unpack_syndromes,
@@ -595,8 +591,8 @@ def unionfind_dense_lut(
 
     Every one of the ``2^num_checks`` syndromes is decoded once by a
     :class:`UnionFindDecoder`, process-cached like the LUT and MWPM
-    tables — so the windowed batched/packed pipelines can consume the
-    union-find decoder as one gather per window.
+    tables — so the windowed pipeline can consume the union-find
+    decoder as one gather per window.
     """
     check = np.ascontiguousarray(
         np.asarray(check_matrix, dtype=np.uint8)
@@ -617,86 +613,3 @@ def unionfind_dense_lut(
         return table, np.ones(size, dtype=bool)
 
     return _cached_table(key, build)
-
-
-class BatchedWindowedUnionFindDecoder(BatchedWindowedLutDecoder):
-    """Batched windowed decoding over dense union-find tables.
-
-    Parameters
-    ----------
-    code:
-        A :class:`repro.codes.rotated.layout.RotatedSurfaceCode`
-        describing the data-qubit geometry (boundaries).
-    x_check_matrix, z_check_matrix:
-        Optional explicit check matrices; default to the code's.  The
-        Surface-17 LER pipeline passes its own (row-permuted) layout
-        matrices while reusing the ``d = 3`` geometry.
-    """
-
-    def __init__(
-        self,
-        code,
-        x_check_matrix: Optional[np.ndarray] = None,
-        z_check_matrix: Optional[np.ndarray] = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = unionfind_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table
-
-
-class PackedWindowedUnionFindDecoder(PackedWindowedLutDecoder):
-    """Word-space windowed decoding over dense union-find tables.
-
-    The packed counterpart of
-    :class:`BatchedWindowedUnionFindDecoder`: syndromes stay as
-    ``uint64`` word planes through the vote and carry-state, and the
-    union-find table is indexed at the gather.
-    """
-
-    def __init__(
-        self,
-        code,
-        num_shots: int,
-        x_check_matrix: Optional[np.ndarray] = None,
-        z_check_matrix: Optional[np.ndarray] = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            num_shots,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = unionfind_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table

@@ -41,7 +41,6 @@ from ..codes.surface17.layout import (
 )
 from ..decoders.lut import correction_operations
 from ..decoders.rule_based import SyndromeRound, WindowedLutDecoder
-from ..qpdo.batched_core import BatchedStabilizerCore
 from ..qpdo.core import Core
 from ..qpdo.cores import StabilizerCore
 from ..qpdo.counter_layer import CounterLayer
@@ -49,7 +48,7 @@ from ..qpdo.error_layer import DepolarizingErrorLayer
 from ..qpdo.packed_core import PackedStabilizerCore
 from ..qpdo.pauli_frame_layer import PauliFrameLayer
 from ..sim.framesim import NoiseParameters
-from ..sim.packedsim import unpack_bits
+from ..sim.packedsim import resolve_engine, unpack_bits
 from ..sim.refcache import reference_trace_key
 from .. import telemetry
 from .results import BatchCounts, RunResult
@@ -392,8 +391,8 @@ class LerExperiment:
             counts_above=self.stack.counter_above.counts.snapshot(),
             counts_below=self.stack.counter_below.counts.snapshot(),
             # The Listing 5.7 loop decodes each shot with one scalar
-            # windowed LUT decoder -- "per-shot-lut" in registry terms.
-            decoder="per-shot-lut",
+            # windowed LUT decoder: the "lut" protocol, shot by shot.
+            decoder="lut",
         )
 
 
@@ -403,39 +402,23 @@ class LerExperiment:
 DEFAULT_BATCH_WINDOWS = 200
 
 
-def _stack_rounds(
-    rounds: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack per-round ``(x_bits, z_bits)`` pairs into window arrays.
+def sc17_window(num_shots: int, use_majority_vote: bool = True):
+    """The :class:`~repro.decoders.registry.WindowContext` of the SC17
+    windowed protocol.
 
-    Input: one ``(shots, checks)`` pair per round; output: the
-    ``(shots, rounds, checks)`` pair the batched decoder consumes.
+    It carries the SC17 check matrices plus the d=3 rotated geometry
+    (the SC17 layout is a row permutation of it, identical data
+    labels) for the matching/union-find boundary lookups.
     """
-    return (
-        np.stack([x for x, _ in rounds], axis=1),
-        np.stack([z for _, z in rounds], axis=1),
-    )
+    from ..codes.rotated.layout import RotatedSurfaceCode
+    from ..decoders.registry import WindowContext
 
-
-def _per_shot_rounds(
-    x_rounds: np.ndarray, z_rounds: np.ndarray, shot: int
-) -> List[SyndromeRound]:
-    """One shot's window as the scalar decoder's round objects."""
-    return [
-        SyndromeRound(
-            x_syndrome=x_rounds[shot, index],
-            z_syndrome=z_rounds[shot, index],
-        )
-        for index in range(x_rounds.shape[1])
-    ]
-
-
-def _stack_decisions(decisions) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shot ``WindowDecision`` list -> batched decision arrays."""
-    return (
-        np.stack([d.x_corrections for d in decisions]).astype(bool),
-        np.stack([d.z_corrections for d in decisions]).astype(bool),
-        np.array([d.has_corrections for d in decisions], dtype=bool),
+    return WindowContext(
+        X_CHECK_MATRIX,
+        Z_CHECK_MATRIX,
+        code=RotatedSurfaceCode(3),
+        num_shots=num_shots,
+        use_majority_vote=use_majority_vote,
     )
 
 
@@ -443,13 +426,13 @@ class BatchedLerExperiment:
     """The LER protocol of Listing 5.7 over N shots in lockstep.
 
     The batched counterpart of :class:`LerExperiment`: one
-    :class:`~repro.qpdo.batched_core.BatchedStabilizerCore` carries all
+    :class:`~repro.qpdo.packed_core.PackedStabilizerCore` carries all
     shots at once — a shared noiseless reference trajectory plus
     per-shot Pauli error frames.  This works because every per-shot
     difference in the protocol is a Pauli:
 
     * noise is Pauli by construction (depolarizing), injected straight
-      into the frame arrays by the core;
+      into the frame planes by the core;
     * decoder corrections are Pauli gates, applied as per-shot frame
       XORs (``apply_pauli_frame``) — adaptive feedback without
       breaking lockstep;
@@ -475,41 +458,34 @@ class BatchedLerExperiment:
     shots that commanded corrections.
 
     ``decoder_impl`` names a decoder from the registry
-    (:mod:`repro.decoders.registry`).  ``"lut"`` (the default)
-    decodes every shot at once through the array-native
-    :class:`~repro.decoders.batched.BatchedWindowedLutDecoder` —
-    majority vote, LUT gather and carry-state as numpy operations over
-    the shot axis, with the dense tables shared process-wide.
-    ``"mwpm"``, ``"unionfind"`` and ``"sparse-mwpm"`` swap the gather
-    tables for ones filled by Blossom matching, union-find growth +
-    peeling, and sparse local matching respectively (same windowed
-    protocol, different decoding principle).  ``"per-shot-lut"``
-    keeps one scalar
-    :class:`~repro.decoders.rule_based.WindowedLutDecoder` per shot;
-    it exists as the reference arm of the bit-identical equivalence
-    gate (``tests/test_batched_ler_equivalence.py``, benchmark E21) —
-    both engines produce the same :class:`BatchCounts` for the same
-    seed, bit for bit.  The legacy names ``"batched"`` and
-    ``"per-shot"`` still resolve, with a :class:`DeprecationWarning`.
-    ``decoder_params`` passes registry build parameters (the parsed
-    tail of a ``--decoder name:key=value`` CLI argument).
+    (:mod:`repro.decoders.registry`).  Every windowed decoder is one
+    :class:`~repro.decoders.batched.PackedWindowedLutDecoder` —
+    majority vote and carry-state on the ``uint64`` syndrome word
+    planes, one gather per window — over the dense tables of the
+    registry entry: minimum-weight enumeration for ``"lut"`` (the
+    default), Blossom matching for ``"mwpm"``, union-find growth +
+    peeling for ``"unionfind"`` and sparse local matching for
+    ``"sparse-mwpm"`` (same windowed protocol, different decoding
+    principle).  Its decisions are bit-identical to one scalar
+    :class:`~repro.decoders.rule_based.WindowedLutDecoder` per shot
+    (``tests/test_batched_decoder.py``).  ``decoder_params`` passes
+    registry build parameters (the parsed tail of a
+    ``--decoder name:key=value`` CLI argument).
 
-    ``engine`` picks the simulation core:
+    ``engine`` is the frame RNG mode of the
+    :class:`~repro.qpdo.packed_core.PackedStabilizerCore`, 64 shots
+    per ``uint64`` word:
 
-    * ``"framesim"`` (default) — the bool-array
-      :class:`~repro.qpdo.batched_core.BatchedStabilizerCore`;
-    * ``"packed"`` — the bit-packed
-      :class:`~repro.qpdo.packed_core.PackedStabilizerCore` in its
-      ``"exact"`` RNG mode: 64 shots per ``uint64`` word, same draw
-      stream, bit-identical :class:`BatchCounts` for the same seed;
-    * ``"packed-fast"`` — the packed core with word-level noise
-      draws (``"fast"`` RNG mode): the same channel sampled through a
-      different stream — statistically identical, not bit-identical,
-      and the fastest of the three (benchmark E22).
+    * ``"exact"`` (default) — the bool frame kernels' draw stream,
+      draw for draw: the pinned golden :class:`BatchCounts`;
+    * ``"fast"`` — word-level noise draws: the same channel sampled
+      through a different stream — statistically identical, not
+      bit-identical, and faster from several thousand shots up
+      (benchmark E22, README crossover table).
 
-    With a packed engine, syndromes flow to the decoder as ``uint64``
-    word planes (:class:`~repro.decoders.batched.
-    PackedWindowedLutDecoder`) and only unpack at the LUT gather.
+    The legacy names ``"framesim"``/``"packed"`` run ``"exact"`` and
+    ``"packed-fast"`` runs ``"fast"``
+    (:func:`~repro.sim.packedsim.resolve_engine`).
 
     The noiseless reference trajectory is a function of the protocol
     structure alone — ``(error_kind, windows, rounds_per_window,
@@ -538,7 +514,7 @@ class BatchedLerExperiment:
         use_majority_vote: bool = True,
         preflight: bool = False,
         decoder_impl: str = "lut",
-        engine: str = "framesim",
+        engine: str = "exact",
         reference_cache: bool = True,
         decoder_params: Optional[dict] = None,
     ) -> None:
@@ -549,10 +525,7 @@ class BatchedLerExperiment:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
         decoder_spec = get_decoder(decoder_impl)
-        if engine not in ("framesim", "packed", "packed-fast"):
-            raise ValueError(
-                "engine must be 'framesim', 'packed' or 'packed-fast'"
-            )
+        self.engine = resolve_engine(engine)
         self.physical_error_rate = float(physical_error_rate)
         self.num_shots = int(num_shots)
         self.use_pauli_frame = bool(use_pauli_frame)
@@ -562,15 +535,13 @@ class BatchedLerExperiment:
         self.init_rounds = int(init_rounds)
         self.decoder_impl = decoder_spec.name
         self.decoder_params = dict(decoder_params or {})
-        self.engine = engine
-        self._packed = engine != "framesim"
         noise = NoiseParameters(
             self.physical_error_rate,
             active_qubits=range(NUM_QUBITS),
         )
         # The reference trajectory is a pure function of the protocol
         # structure — every parameter that only shapes the *frames*
-        # (shots, arm, noise rate, decoder, rng_mode, seed) is
+        # (shots, arm, noise rate, decoder, engine, seed) is
         # deliberately absent from the key.
         reference_key = reference_trace_key(
             (
@@ -581,56 +552,19 @@ class BatchedLerExperiment:
                 self.init_rounds,
             )
         )
-        if self._packed:
-            self.core = PackedStabilizerCore(
-                self.num_shots,
-                noise=noise,
-                seed=seed,
-                rng_mode="fast" if engine == "packed-fast" else "exact",
-                reference_key=reference_key,
-                reference_cache=reference_cache,
-            )
-        else:
-            self.core = BatchedStabilizerCore(
-                self.num_shots,
-                noise=noise,
-                seed=seed,
-                reference_key=reference_key,
-                reference_cache=reference_cache,
-            )
-        self.core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla
-        # Capability negotiation + registry-driven construction: the
-        # packed cores advertise CAP_PACKED, so only decoders carrying
-        # CAP_PACKED_SYNDROMES pass; the WindowContext carries the
-        # SC17 check matrices plus the d=3 rotated geometry (the SC17
-        # layout is a row permutation of it, identical data labels)
-        # for the matching/union-find boundary lookups.
-        from ..codes.rotated.layout import RotatedSurfaceCode
-        from ..decoders.registry import WindowContext, negotiate
-
-        negotiate(decoder_spec, core=self.core)
-        window = WindowContext(
-            X_CHECK_MATRIX,
-            Z_CHECK_MATRIX,
-            code=RotatedSurfaceCode(3),
-            num_shots=self.num_shots
-            if (self._packed and not decoder_spec.per_shot)
-            else None,
-            use_majority_vote=use_majority_vote,
+        self.core = PackedStabilizerCore(
+            self.num_shots,
+            noise=noise,
+            seed=seed,
+            rng_mode=self.engine,
+            reference_key=reference_key,
+            reference_cache=reference_cache,
         )
-        if decoder_spec.per_shot:
-            self.decoder = None
-            self.decoders = [
-                decoder_spec.build(
-                    window.code, window, **self.decoder_params
-                )
-                for _ in range(self.num_shots)
-            ]
-        else:
-            self.decoder = decoder_spec.build(
-                window.code, window, **self.decoder_params
-            )
-            self.decoders = None
+        self.core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla
+        window = sc17_window(self.num_shots, use_majority_vote)
+        self.decoder = decoder_spec.build(
+            window.code, window, **self.decoder_params
+        )
         self.qubit_map = list(range(NUM_QUBITS))
         self.probe_ancilla = NUM_QUBITS
         self.preflight_analyses = (
@@ -671,113 +605,40 @@ class BatchedLerExperiment:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One ESM round for all shots.
 
-        With the framesim engine, returns the stacked
-        ``(x_bits, z_bits)`` syndrome arrays of shape
-        ``(num_shots, num_checks)`` — the array form the batched
-        decoder consumes directly.  With a packed engine, returns
-        ``uint64`` word planes of shape ``(num_checks, num_words)``
-        per species instead; syndromes stay bit-packed all the way to
-        the decoder's LUT gather.
+        Returns the ``(x_words, z_words)`` syndrome word planes, shape
+        ``(num_checks, num_words)`` ``uint64`` per species: syndromes
+        stay bit-packed all the way to the decoder's gather.
         """
         esm = parallel_esm(self.qubit_map, name="esm")
         esm.circuit.bypass = bypass
         result = self.core.run(esm.circuit)
-        if self._packed:
-            x_bits = np.stack(
-                [result.words_of(m) for m in esm.x_measurements]
-            )
-            z_bits = np.stack(
-                [result.words_of(m) for m in esm.z_measurements]
-            )
-        else:
-            x_bits = np.stack(
-                [result.bits_of(m) for m in esm.x_measurements], axis=1
-            )
-            z_bits = np.stack(
-                [result.bits_of(m) for m in esm.z_measurements], axis=1
-            )
-        return x_bits, z_bits
+        x_words = np.stack([result.words_of(m) for m in esm.x_measurements])
+        z_words = np.stack([result.words_of(m) for m in esm.z_measurements])
+        return x_words, z_words
 
-    def _stack_window(
-        self, rounds: List[Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack per-round syndromes into the decoder's window layout.
-
-        Framesim: ``(shots, rounds, checks)`` bools.  Packed:
-        ``(rounds, checks, num_words)`` ``uint64`` planes (the leading
-        rounds axis of :func:`~repro.sim.packedsim.packed_majority`).
-        """
-        if self._packed:
-            return (
-                np.stack([x for x, _ in rounds], axis=0),
-                np.stack([z for _, z in rounds], axis=0),
-            )
-        return _stack_rounds(rounds)
-
-    def _unpack_window(self, planes: np.ndarray) -> np.ndarray:
-        """Packed ``(rounds, checks, words)`` -> ``(shots, rounds,
-        checks)`` bools (the per-shot decoder path's input)."""
-        num_rounds, num_checks, _ = planes.shape
-        bits = np.empty(
-            (self.num_shots, num_rounds, num_checks), dtype=bool
-        )
-        for round_index in range(num_rounds):
-            for check in range(num_checks):
-                bits[:, round_index, check] = unpack_bits(
-                    planes[round_index, check], self.num_shots
-                )
-        return bits
-
-    def _decode_init(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
+    def _decode_rounds(
+        self, count: int, initialize: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode the initialization rounds with the selected engine.
+        """Run ``count`` ESM rounds and decode them as one window.
 
-        ``x_rounds`` / ``z_rounds`` are ``(shots, rounds, checks)``;
-        returns ``(x_corrections, z_corrections, commanded)`` arrays.
+        The rounds stack into the decoder's ``(rounds, checks,
+        num_words)`` layout; returns ``(x_corrections, z_corrections,
+        commanded)`` arrays.  ``initialize`` decodes the
+        initialization rounds (after forgetting any history).
         """
-        if self.decoder is not None:
+        rounds = [self._esm_round() for _ in range(count)]
+        x_rounds = np.stack([x for x, _ in rounds])
+        z_rounds = np.stack([z for _, z in rounds])
+        if initialize:
             self.decoder.reset()
             decision = self.decoder.initialize(x_rounds, z_rounds)
-            return (
-                decision.x_corrections,
-                decision.z_corrections,
-                decision.has_corrections,
-            )
-        if self._packed:
-            x_rounds = self._unpack_window(x_rounds)
-            z_rounds = self._unpack_window(z_rounds)
-        decisions = []
-        for shot, decoder in enumerate(self.decoders):
-            decoder.reset()
-            decisions.append(
-                decoder.initialize(
-                    _per_shot_rounds(x_rounds, z_rounds, shot)
-                )
-            )
-        return _stack_decisions(decisions)
-
-    def _decode_window(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode one window of rounds with the selected engine."""
-        if self.decoder is not None:
+        else:
             decision = self.decoder.decode_window(x_rounds, z_rounds)
-            return (
-                decision.x_corrections,
-                decision.z_corrections,
-                decision.has_corrections,
-            )
-        if self._packed:
-            x_rounds = self._unpack_window(x_rounds)
-            z_rounds = self._unpack_window(z_rounds)
-        decisions = [
-            decoder.decode_window(
-                _per_shot_rounds(x_rounds, z_rounds, shot)
-            )
-            for shot, decoder in enumerate(self.decoders)
-        ]
-        return _stack_decisions(decisions)
+        return (
+            decision.x_corrections,
+            decision.z_corrections,
+            decision.has_corrections,
+        )
 
     def _apply_corrections(
         self,
@@ -833,13 +694,11 @@ class BatchedLerExperiment:
 
     def _clean_shots(self) -> np.ndarray:
         """Perfect diagnostic round: which shots show no syndrome."""
-        x_bits, z_bits = self._esm_round(bypass=True)
-        if self._packed:
-            dirty = np.bitwise_or.reduce(
-                x_bits, axis=0
-            ) | np.bitwise_or.reduce(z_bits, axis=0)
-            return ~unpack_bits(dirty, self.num_shots)
-        return ~(x_bits.any(axis=1) | z_bits.any(axis=1))
+        x_words, z_words = self._esm_round(bypass=True)
+        dirty = np.bitwise_or.reduce(
+            x_words, axis=0
+        ) | np.bitwise_or.reduce(z_words, axis=0)
+        return ~unpack_bits(dirty, self.num_shots)
 
     # ------------------------------------------------------------------
     def run(self) -> List[RunResult]:
@@ -886,24 +745,17 @@ class BatchedLerExperiment:
             for data in range(9):
                 slot.add(Operation("h", (data,)))
         self.core.run(prepare)
-        init_x, init_z = self._stack_window(
-            [self._esm_round() for _ in range(self.init_rounds)]
+        self._apply_corrections(
+            *self._decode_rounds(self.init_rounds, initialize=True)
         )
-        self._apply_corrections(*self._decode_init(init_x, init_z))
         reference = self._measure_logical_eigenvalues()
 
         logical_errors = np.zeros(self.num_shots, dtype=np.int64)
         clean_windows = np.zeros(self.num_shots, dtype=np.int64)
         corrections = np.zeros(self.num_shots, dtype=np.int64)
         for _ in range(self.windows):
-            window_x, window_z = self._stack_window(
-                [
-                    self._esm_round()
-                    for _ in range(self.rounds_per_window)
-                ]
-            )
             corrections += self._apply_corrections(
-                *self._decode_window(window_x, window_z)
+                *self._decode_rounds(self.rounds_per_window)
             )
             clean = self._clean_shots()
             eigenvalues = self._measure_logical_eigenvalues()
@@ -936,7 +788,7 @@ def run_ler_point(
     max_windows: int = 2_000_000,
     batch_windows: Optional[int] = None,
     decoder_impl: str = "lut",
-    engine: str = "framesim",
+    engine: str = "exact",
     decoder_params: Optional[dict] = None,
 ) -> List[RunResult]:
     """Repeat the experiment ``samples`` times with distinct seeds.
@@ -950,10 +802,8 @@ def run_ler_point(
     shots, each running exactly ``batch_windows`` windows
     (``max_logical_errors`` and ``max_windows`` are then unused — the
     stopping rule is the fixed window count).  ``decoder_impl``
-    selects the batched decoding engine (bit-identical either way)
-    and ``engine`` the simulation core (``"packed"`` is bit-identical
-    to ``"framesim"``, ``"packed-fast"`` statistically identical; see
-    :class:`BatchedLerExperiment`).
+    selects the registry decoder and ``engine`` the frame RNG mode
+    (``"exact"`` or ``"fast"``; see :class:`BatchedLerExperiment`).
     """
     if batch_windows is not None:
         experiment = BatchedLerExperiment(

@@ -49,6 +49,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..sim.packedsim import resolve_engine
 from .. import telemetry
 from .ler import (
     DEFAULT_BATCH_WINDOWS,
@@ -121,10 +122,9 @@ class ShardSpec:
     max_logical_errors: int
     max_windows: int
     arm_seed: int
-    #: Simulation core of batch-mode shards ("framesim", "packed" or
-    #: "packed-fast").  "framesim" and "packed" consume the same RNG
-    #: stream, so their records are interchangeable bit for bit.
-    engine: str = "framesim"
+    #: Frame engine (RNG mode) of batch-mode shards, canonical name:
+    #: "exact" or "fast" (:func:`~repro.sim.packedsim.resolve_engine`).
+    engine: str = "exact"
     #: Registry decoder of batch-mode shards (canonical name; see
     #: :mod:`repro.decoders.registry`).  Decoding consumes no RNG, so
     #: the shard stream is decoder-independent — but the *records* are
@@ -171,7 +171,7 @@ def plan_shards(
     seed: int,
     max_logical_errors: int = 50,
     max_windows: int = 2_000_000,
-    engine: str = "framesim",
+    engine: str = "exact",
     decoder: str = "lut",
     decoder_params: Optional[Dict] = None,
 ) -> List[ShardSpec]:
@@ -181,7 +181,7 @@ def plan_shards(
     shards; the last shard takes the remainder.  ``windows`` selects
     batch mode (fixed windows per shot); ``None`` selects the per-shot
     tableau loop terminated at ``max_logical_errors``.  ``engine``
-    selects the batch-mode simulation core and ``decoder`` the
+    selects the batch-mode frame engine and ``decoder`` the
     registry decoder (the loop mode has neither a batched core nor
     decoder selection and accepts only the defaults).
     """
@@ -191,16 +191,13 @@ def plan_shards(
         raise ValueError("shots must be positive")
     if shard_shots < 1:
         raise ValueError("shard_shots must be positive")
-    if engine not in ("framesim", "packed", "packed-fast"):
-        raise ValueError(
-            "engine must be 'framesim', 'packed' or 'packed-fast'"
-        )
+    engine = resolve_engine(engine)
     decoder = resolve_decoder_name(decoder)
     params = tuple(sorted((decoder_params or {}).items()))
     mode = "batch" if windows is not None else "loop"
     if mode == "batch" and windows < 1:
         raise ValueError("windows must be positive in batch mode")
-    if mode == "loop" and engine != "framesim":
+    if mode == "loop" and engine != "exact":
         raise ValueError(
             "the per-shot loop mode has no batched core; "
             "engine selection requires batch mode (windows set)"
@@ -583,7 +580,7 @@ def _checkpoint_config(
     seed: int,
     max_logical_errors: int,
     max_windows: int,
-    engine: str = "framesim",
+    engine: str = "exact",
     decoder: str = "lut",
     decoder_params: Optional[Dict] = None,
 ) -> Dict:
@@ -592,10 +589,10 @@ def _checkpoint_config(
     ``workers``, ``target_ci`` and the checkpoint path itself are
     deliberately absent: they do not change shard contents, so a
     resume may legally use different values for them.  The engine is
-    pinned as its *RNG stream* rather than its name: ``framesim`` and
-    ``packed`` draw identical streams (records are interchangeable bit
-    for bit), so a sweep checkpointed under one may resume under the
-    other; ``packed-fast`` draws a different stream and may not.  The
+    pinned as its *RNG stream* — its canonical name — so a sweep
+    checkpointed under a legacy engine name resumes under the
+    canonical one; ``exact`` and ``fast`` draw different streams, so
+    a checkpoint of one is refused by the other.  The
     decoder is pinned only when it is not the historical default
     (``lut``, no params), so pre-registry checkpoints keep resuming.
     """
@@ -613,7 +610,7 @@ def _checkpoint_config(
         "seed": int(seed),
         "max_logical_errors": int(max_logical_errors),
         "max_windows": int(max_windows),
-        "rng_stream": "fast" if engine == "packed-fast" else "exact",
+        "rng_stream": resolve_engine(engine),
     }
     decoder = resolve_decoder_name(decoder)
     params = dict(decoder_params or {})
@@ -730,7 +727,7 @@ def run_parallel_sweep(
     config: ParallelConfig = ParallelConfig(),
     max_logical_errors: int = 50,
     max_windows: int = 2_000_000,
-    engine: str = "framesim",
+    engine: str = "exact",
     pool: Optional[ProcessPoolExecutor] = None,
     decoder: str = "lut",
     decoder_params: Optional[Dict] = None,
@@ -756,8 +753,7 @@ def run_parallel_sweep(
     config:
         Execution knobs (:class:`ParallelConfig`).
     engine:
-        Batch-mode simulation core (``"framesim"``, ``"packed"``,
-        ``"packed-fast"``; see
+        Batch-mode frame engine (``"exact"`` or ``"fast"``; see
         :class:`~repro.experiments.ler.BatchedLerExperiment`).
     pool:
         Optional long-lived executor to run shards on instead of a
@@ -944,7 +940,7 @@ def run_parallel_point(
     config: ParallelConfig = ParallelConfig(),
     max_logical_errors: int = 50,
     max_windows: int = 2_000_000,
-    engine: str = "framesim",
+    engine: str = "exact",
     pool: Optional[ProcessPoolExecutor] = None,
     decoder: str = "lut",
     decoder_params: Optional[Dict] = None,

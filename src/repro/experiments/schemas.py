@@ -203,7 +203,6 @@ REPORT_SCHEMAS: Dict[str, Dict] = {
                         "name": _STRING,
                         "summary": _STRING,
                         "capabilities": _array(_STRING),
-                        "aliases": _array(_STRING),
                         "params": _array(_STRING),
                     }
                 )

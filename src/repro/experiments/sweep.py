@@ -67,7 +67,7 @@ def run_ler_sweep(
     max_windows: int = 2_000_000,
     batch_windows: Optional[int] = None,
     decoder_impl: str = "lut",
-    engine: str = "framesim",
+    engine: str = "exact",
     decoder_params: Optional[dict] = None,
 ) -> SweepResult:
     """Run the full with/without-frame sweep.
@@ -82,12 +82,10 @@ def run_ler_sweep(
     shot runs exactly ``batch_windows`` windows, so far larger shot
     counts per PER become affordable.  ``decoder_impl`` then names a
     registry decoder (:mod:`repro.decoders.registry`) — ``"lut"``
-    (array-native dense table, the default), ``"per-shot-lut"``
-    (bit-identical reference), ``"mwpm"``, ``"unionfind"`` or
-    ``"sparse-mwpm"``; ``decoder_params`` forwards keyword arguments
-    to the decoder's builder.  ``engine`` selects the batched
-    simulation core — ``"framesim"``, ``"packed"`` (bit-identical) or
-    ``"packed-fast"`` (statistically identical; fastest).
+    (the default), ``"mwpm"``, ``"unionfind"`` or ``"sparse-mwpm"``;
+    ``decoder_params`` forwards keyword arguments to the decoder's
+    builder.  ``engine`` selects the frame engine — ``"exact"`` (the
+    default) or ``"fast"`` (statistically identical).
     """
     from ..decoders.registry import (
         format_decoder_arg,

@@ -1,25 +1,42 @@
-"""A bit-packed batched simulation core: 64 shots per machine word.
+"""The batched simulation core: N shots behind one Core interface.
 
-:class:`PackedStabilizerCore` is the packed counterpart of
-:class:`~repro.qpdo.batched_core.BatchedStabilizerCore`: the same
-streaming ``add``/``execute`` protocol and the same one-reference-
-tableau-plus-error-frames split, but the per-shot frames live in a
-:class:`~repro.sim.packedsim.PackedFrameArray` — ``uint64`` planes of
-shape ``(num_qubits, ceil(num_shots / 64))`` — so gates, noise,
-measurement flips and correction feedback are word-wide bitwise
-kernels instead of per-shot bool columns.
+:class:`PackedStabilizerCore` is the streaming counterpart of
+:func:`repro.sim.packedsim.sample_circuit_packed`: instead of
+compiling a fixed circuit up front, it executes circuits as they
+arrive (the normal QPDO ``add``/``execute`` protocol of Table 4.1)
+while carrying *all shots at once* — one shared noiseless reference
+tableau plus a :class:`~repro.sim.packedsim.PackedFrameArray` of
+per-shot Pauli error frames, ``uint64`` planes of shape
+``(num_qubits, ceil(num_shots / 64))``.  Gates, noise, measurement
+flips and correction feedback are word-wide bitwise kernels.
+
+This is what makes adaptive experiments batchable: in the LER protocol
+the only per-shot feedback is the decoder's corrections, and
+corrections are Pauli gates — i.e. pure frame updates
+(:meth:`PackedStabilizerCore.apply_pauli_frame`).  The non-Pauli
+instruction stream (ESM rounds, probes) is identical across shots and
+runs once on the reference, so a 10 000-shot window costs one tableau
+pass plus a handful of word-row XORs.
+
+Noise is built in rather than layered: a
+:class:`~repro.sim.framesim.NoiseParameters` model makes the core
+inject depolarizing faults directly into the frame planes with the
+exact per-slot semantics of
+:class:`~repro.qpdo.error_layer.DepolarizingErrorLayer` (bypass
+circuits stay noiseless).  Stacking the per-shot error layer above a
+batched core would be meaningless — it could only fault all shots
+identically.
 
 ``rng_mode`` selects the random-stream regime (see
 :mod:`repro.sim.packedsim`):
 
-* ``"exact"`` consumes the frame RNG draw-for-draw like the unpacked
-  core, making :class:`PackedExecutionResult` measurement bits — and
-  therefore whole-experiment :class:`~repro.experiments.results.
-  BatchCounts` — bit-identical to ``BatchedStabilizerCore`` for the
-  same seed;
+* ``"exact"`` consumes the frame RNG draw-for-draw like the bool
+  :class:`~repro.sim.framesim.FrameArray` kernels, so measurement
+  bits — and whole-experiment :class:`~repro.experiments.results.
+  BatchCounts` — reproduce the pinned golden values for the same
+  seed;
 * ``"fast"`` draws noise at the word level (binomial hit counts,
-  random gauge words): the same channel, a different stream, and the
-  speed that clears the E22 benchmark bar.
+  random gauge words): the same channel, a different stream.
 
 Measurement results come back packed (``words_of``); ``bits_of``
 unpacks on demand, and ``measurements`` keeps the scalar Core
@@ -28,7 +45,9 @@ contract by exposing shot 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -98,28 +117,40 @@ class PackedStabilizerCore(Core):
         Number of simultaneous shots.
     noise:
         Optional built-in depolarizing model applied to every
-        non-bypass circuit (same per-slot semantics as the unpacked
-        batched core).
+        non-bypass circuit (see module docstring).
     seed:
-        Seed of the frame randomness (and, without a
-        ``reference_key``, of the reference tableau): the unpacked
-        core's two-child layout.
+        Seed of the per-shot fault / gauge randomness (its second
+        spawned child).  Without a ``reference_key`` its first child
+        seeds the reference tableau.
     rng_mode:
-        ``"exact"`` (bit-identical to
-        :class:`~repro.qpdo.batched_core.BatchedStabilizerCore`) or
+        ``"exact"`` (the bool kernels' stream, draw for draw) or
         ``"fast"`` (word-level noise; distribution-identical).
     reference_key:
-        Optional structure digest that seeds and caches the reference
-        (see the unpacked core and :mod:`repro.sim.refcache`).  The
-        reference stream is identical across all engines —
-        ``rng_mode`` only changes the *frame* stream — so packed and
-        unpacked runs of one protocol share one cached trace.
+        Optional :func:`~repro.sim.refcache.reference_trace_key`
+        digest of the protocol structure.  With a key, the reference
+        tableau is seeded from the key itself
+        (:func:`~repro.sim.refcache.reference_seed`), so every run of
+        one structure shares one reference trajectory; it is recorded
+        on first execution and *replayed* from the process-level trace
+        cache on subsequent runs with the same key — bit-identical
+        results without re-simulating the noiseless tableau.  The
+        reference stream does not depend on ``rng_mode``.  The
+        experiment owning the core must call
+        :meth:`commit_reference_trace` once its circuit stream is
+        complete.
     reference_cache:
-        ``False`` simulates a keyed reference live, uncached.
+        With ``False``, a keyed reference is simulated live every run
+        (same seed, same bits) and never enters the cache.
 
-    The lockstep restrictions of the unpacked batched core apply
-    unchanged: the circuit stream must be shot-independent apart from
-    Pauli feedback (:meth:`apply_pauli_frame`).
+    Notes
+    -----
+    The executed circuit stream must be shot-independent apart from
+    Pauli feedback: a measurement's *reference* outcome is decided
+    once on the shared tableau, and per-shot outcomes differ from it
+    only through the error frames.  Branching on a single shot's
+    outcome and commanding different non-Pauli circuits per shot is
+    not expressible here — use the per-shot :class:`StabilizerCore`
+    loop for that.
     """
 
     def __init__(
@@ -172,7 +203,7 @@ class PackedStabilizerCore(Core):
             raise ValueError("cannot remove more qubits than allocated")
         self._num_qubits -= int(size)
         self._state.resize(self._num_qubits)
-        # Like the unpacked core: the tableau keeps its registers, the
+        # Like the scalar cores, the tableau keeps its registers; the
         # frame rows are dropped so re-created qubits start fresh.
         self.frames.remove_qubits(
             self.frames.num_qubits - self._num_qubits
@@ -235,8 +266,12 @@ class PackedStabilizerCore(Core):
         )
 
     def commit_reference_trace(self) -> None:
-        """Store the recorded reference trace in the process cache
-        (see the unpacked core's docstring)."""
+        """Store the recorded reference trace in the process cache.
+
+        Call exactly once, after the experiment's full circuit stream
+        has executed; no-op without a ``reference_key`` or on a run
+        that replayed a cached trace.
+        """
         self.simulator.commit()
 
     # -- per-shot Pauli feedback ----------------------------------------
@@ -248,8 +283,11 @@ class PackedStabilizerCore(Core):
 
         Masks are bool arrays of shape ``(num_shots, num_qubits)`` or
         pre-packed ``uint64`` planes of shape
-        ``(num_qubits, num_words)``; the shared reference is untouched
-        either way (a Pauli gate *is* a frame update).
+        ``(num_qubits, num_words)``; ``x_mask`` marks shots/qubits
+        receiving an X gate, ``z_mask`` a Z gate (Y sets both).  This
+        is the batched analogue of commanding per-shot correction
+        circuits: a Pauli gate is exactly a frame update, so the
+        shared reference is untouched.
         """
         self.frames.apply_pauli_masks(x_mask, z_mask)
 
@@ -260,30 +298,40 @@ class PackedStabilizerCore(Core):
         probability: Optional[float] = None,
     ) -> None:
         """Charge one depolarizing slot to ``qubits``, optionally only
-        on the shots selected by ``shot_mask`` (see the unpacked
-        core's docstring for the experiment-side use)."""
+        on the shots selected by ``shot_mask``.
+
+        Experiments use this for shot-dependent circuits the lockstep
+        stream cannot express — e.g. the frame-less arm's physical
+        correction slot, which only exists on shots whose decoder
+        commanded corrections.  The probability defaults to the core's
+        noise model; without a noise model this is a no-op.
+        """
         if probability is None:
             probability = (
                 self.noise.probability if self.noise is not None else 0.0
             )
         if probability <= 0.0:
             return
-        for qubit in qubits:
-            self.frames.depolarize1(
-                qubit, probability, self._frame_rng, shot_mask=shot_mask
-            )
+        self.frames.depolarize1(
+            list(qubits), probability, self._frame_rng, shot_mask=shot_mask
+        )
 
     # -- internals ------------------------------------------------------
     def _inject(self, events) -> None:
+        """Inject one slot's noise events, one kernel call per run of
+        same-kind events (the kernels take qubit vectors)."""
         frames, rng = self.frames, self._frame_rng
         p = self.noise.probability
-        for event in events:
-            if event[0] == OP_DEPOL1:
-                frames.depolarize1(event[1], p, rng)
-            elif event[0] == OP_XERR:
-                frames.xerr(event[1], p, rng)
-            elif event[0] == OP_DEPOL2:
-                frames.depolarize2(event[1], event[2], p, rng)
+        for opcode, group in itertools.groupby(events, key=itemgetter(0)):
+            run = list(group)
+            if opcode == OP_DEPOL1:
+                frames.depolarize1([e[1] for e in run], p, rng)
+            elif opcode == OP_XERR:
+                frames.xerr([e[1] for e in run], p, rng)
+            elif opcode == OP_DEPOL2:
+                frames.depolarize2(
+                    [e[1] for e in run], [e[2] for e in run], p, rng
+                )
 
     def _apply(
         self, operation: Operation, result: PackedExecutionResult

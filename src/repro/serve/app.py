@@ -338,7 +338,7 @@ class ServeApp:
             windows=int(params.get("windows", 10)),
             seed=job.seed,
             shard_shots=params.get("shard_shots"),
-            engine=params.get("engine", "framesim"),
+            engine=params.get("engine", "exact"),
             checkpoint=self.checkpoint_path(job.job_id),
             target_ci=params.get("target_ci"),
             decoder=decoder_name,

@@ -41,6 +41,7 @@ from ..experiments.parallel import (
     PoolShutdownError,
     run_parallel_sweep,
 )
+from ..sim.packedsim import resolve_engine
 from .. import telemetry
 from .wire import JOB_KINDS
 
@@ -132,9 +133,10 @@ def check_job_params(job_kind: str, params: Dict) -> None:
         value = params.get(key, default)
         if not isinstance(value, int) or value < 1:
             raise JobParamsError(f"{key!r} must be a positive integer")
-    engine = params.get("engine", "framesim")
-    if engine not in ("framesim", "packed", "packed-fast"):
-        raise JobParamsError(f"unknown engine {engine!r}")
+    try:
+        resolve_engine(params.get("engine", "exact"))
+    except ValueError as error:
+        raise JobParamsError(str(error))
     decoder = params.get("decoder")
     if decoder is not None:
         if not isinstance(decoder, str):
@@ -160,12 +162,6 @@ def check_job_params(job_kind: str, params: Dict) -> None:
                 "'decoder': the windowed protocol takes no decoder "
                 f"parameters; got {sorted(decoder_params)}"
             )
-        if name == "per-shot-lut":
-            raise JobParamsError(
-                "the per-shot reference decoder applies to the "
-                "in-process batch path only; it is not available "
-                "on the service's worker pool"
-            )
 
 
 def run_decode_job(params: Dict) -> Dict:
@@ -176,20 +172,26 @@ def run_decode_job(params: Dict) -> Dict:
     check geometry), optional ``use_majority_vote``.  Returns the
     per-shot correction masks and voted syndromes as JSON-safe lists.
     """
-    from ..codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
-    from ..decoders.batched import BatchedWindowedLutDecoder
+    from ..decoders.registry import get_decoder
+    from ..experiments.ler import sc17_window
+    from ..sim.packedsim import pack_bits
 
     x_rounds = np.asarray(params["x_rounds"], dtype=bool)
     z_rounds = np.asarray(params["z_rounds"], dtype=bool)
-    decoder = BatchedWindowedLutDecoder(
-        X_CHECK_MATRIX,
-        Z_CHECK_MATRIX,
-        use_majority_vote=bool(params.get("use_majority_vote", True)),
+    shots, rounds, _ = x_rounds.shape
+    window = sc17_window(
+        shots, bool(params.get("use_majority_vote", True))
     )
-    decision = decoder.initialize(x_rounds, z_rounds)
+    decoder = get_decoder("lut").build(window.code, window)
+    # The wire carries (shots, rounds, checks) bools; the decoder takes
+    # (rounds, checks, num_words) word planes.
+    decision = decoder.initialize(
+        pack_bits(x_rounds.transpose(1, 2, 0)),
+        pack_bits(z_rounds.transpose(1, 2, 0)),
+    )
     return {
-        "shots": int(x_rounds.shape[0]),
-        "rounds": int(x_rounds.shape[1]),
+        "shots": int(shots),
+        "rounds": int(rounds),
         "x_corrections": decision.x_corrections.astype(int).tolist(),
         "z_corrections": decision.z_corrections.astype(int).tolist(),
         "has_corrections": decision.has_corrections.astype(int).tolist(),

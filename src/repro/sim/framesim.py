@@ -39,10 +39,12 @@ Three public entry points:
   equals 10 x 100 shots, bit for bit);
 * :func:`sample_circuit` -- compile + sample in one deterministic call.
 
-The streaming variant (adaptive circuits with per-shot Pauli feedback,
-used by the batched LER experiments) lives in
-:class:`repro.qpdo.batched_core.BatchedStabilizerCore` on top of the
-same :class:`FrameArray` kernels.
+The bit-packed :mod:`repro.sim.packedsim` engine runs the same
+kernels 64 shots to a word and, in its exact RNG mode, draws the same
+streams; these bool kernels are its reference.  The streaming variant
+(adaptive circuits with per-shot Pauli feedback, used by the batched
+LER experiments) is :class:`repro.qpdo.packed_core.PackedStabilizerCore`
+on top of the packed kernels.
 """
 
 from __future__ import annotations

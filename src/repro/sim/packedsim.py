@@ -23,12 +23,13 @@ into a handful of word-wide bitwise kernels:
 ``"exact"``
     Consumes random streams *exactly* like the unpacked kernels: one
     uniform float per shot per channel event, gauge rows drawn as
-    ``rng.random(shots) < 0.5``.  Samples, and therefore experiment
-    results, are bit-identical to :class:`~repro.sim.framesim.
-    BatchedFrameSampler` / ``BatchedStabilizerCore`` — the conformance
-    contract the golden values and the differential-fuzz corpus pin.
-    The speedup comes from doing the hit→kind arithmetic sparsely
-    (only at the hit indices) and all frame algebra on words.
+    ``rng.random(shots) < 0.5``.  Samples are bit-identical to
+    :class:`~repro.sim.framesim.BatchedFrameSampler`, the bool
+    reference — the conformance contract the golden values and the
+    differential-fuzz corpus pin.  The speed comes from drawing all
+    same-kind noise events of a slot at once, doing the hit→kind
+    arithmetic sparsely (only at the hit indices) and all frame
+    algebra on words.
 
 ``"fast"``
     Stim-style word-level randomness: a channel draws its hit *count*
@@ -52,7 +53,7 @@ and unpacks never see ghost shots.
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,7 +94,34 @@ _POPCOUNT_TABLE = np.array(
     [bin(value).count("1") for value in range(256)], dtype=np.uint8
 )
 
-_RNG_MODES = ("exact", "fast")
+#: Every accepted engine name -> the frame RNG mode it runs.  The
+#: canonical names are the modes themselves; ``framesim``, ``packed``
+#: and ``packed-fast`` name the engines of earlier releases and still
+#: appear in serve journals and user scripts.
+ENGINE_NAMES = {
+    "exact": "exact",
+    "fast": "fast",
+    "framesim": "exact",
+    "packed": "exact",
+    "packed-fast": "fast",
+}
+
+#: The canonical engine names (= RNG modes), default first.
+ENGINES = ("exact", "fast")
+
+
+def resolve_engine(name: object) -> str:
+    """Canonical engine name (RNG mode) of ``name``.
+
+    Raises :class:`ValueError` with one message for every caller — the
+    CLI, the experiments, the shard planner and the serve layer.
+    """
+    engine = ENGINE_NAMES.get(name) if isinstance(name, str) else None
+    if engine is None:
+        raise ValueError(
+            f"unknown engine {name!r}; choose 'exact' or 'fast'"
+        )
+    return engine
 
 
 def num_words(num_shots: int) -> int:
@@ -214,6 +242,31 @@ def _scatter(indices: np.ndarray, num_shots: int) -> np.ndarray:
     return pack_bits(bits)
 
 
+#: One qubit index, or a vector of them (a noise kernel's argument).
+Qubits = Union[int, Sequence[int], np.ndarray]
+
+
+def _qubit_rows(qubits: Qubits) -> np.ndarray:
+    """A qubit or a sequence of qubits as a 1-D index vector."""
+    return np.atleast_1d(np.asarray(qubits, dtype=np.intp))
+
+
+def _xor_rows(plane: np.ndarray, rows: np.ndarray, words: np.ndarray) -> None:
+    """``plane[rows[i]] ^= words[i]`` for every ``i``.
+
+    One fancy-indexed XOR when the rows are distinct (every slot's
+    noise events are); a repeated row falls back to one XOR per row,
+    so no update is lost.
+    """
+    if rows.size == 1:
+        plane[rows[0]] ^= words[0]
+    elif len(set(rows.tolist())) == rows.size:
+        plane[rows] ^= words
+    else:
+        for row, word in zip(rows, words):
+            plane[row] ^= word
+
+
 class PackedFrameArray:
     """``num_shots`` Pauli frames as two ``uint64`` bit planes.
 
@@ -230,8 +283,8 @@ class PackedFrameArray:
     def __init__(
         self, num_shots: int, num_qubits: int, rng_mode: str = "exact"
     ):
-        if rng_mode not in _RNG_MODES:
-            raise ValueError(f"rng_mode must be one of {_RNG_MODES}")
+        if rng_mode not in ENGINES:
+            raise ValueError(f"rng_mode must be one of {ENGINES}")
         self.num_shots = int(num_shots)
         words = num_words(self.num_shots)
         self.x = np.zeros((int(num_qubits), words), dtype=np.uint64)
@@ -339,30 +392,43 @@ class PackedFrameArray:
         Returns the packed ``X``-component row (a copy), then
         randomizes the now-gauge ``Z`` component.
         """
-        flips = self.x[qubit].copy()
-        self.z[qubit] = self._gauge_row(rng)
-        return flips
+        t = telemetry.ACTIVE
+        if t is None:
+            flips = self.x[qubit].copy()
+            self.z[qubit] = self._gauge_row(rng)
+            return flips
+        with t.span("sim.packedsim", "PackedFrameArray.measure_flips"):
+            flips = self.x[qubit].copy()
+            self.z[qubit] = self._gauge_row(rng)
+            return flips
 
     # -- noise channels --------------------------------------------------
+    # Each channel takes one qubit or a vector of ``k`` qubits.  In
+    # exact mode it makes one ``(k, num_shots)`` draw of uniforms —
+    # ``Generator.random`` fills in C order, so this is the stream of
+    # ``k`` scalar calls — computes the error kinds only at the hit
+    # indices and packs all ``k`` rows with one ``pack_bits`` call.
+    # Fast mode keeps its per-event stream, one qubit after another.
     def xerr(
-        self, qubit: int, probability: float, rng: np.random.Generator
+        self, qubits: Qubits, probability: float, rng: np.random.Generator
     ) -> None:
         """Bit-flip channel: X with probability ``p`` on every shot."""
+        rows = _qubit_rows(qubits)
         if self.rng_mode == "exact":
-            self.x[qubit] ^= pack_bits(
-                rng.random(self.num_shots) < probability
-            )
+            hits = rng.random((rows.size, self.num_shots))
+            _xor_rows(self.x, rows, pack_bits(hits < probability))
             return
-        hits = int(rng.binomial(self.num_shots, probability))
-        if hits:
-            positions = rng.choice(
-                self.num_shots, size=hits, replace=False
-            )
-            self.x[qubit] ^= _scatter(positions, self.num_shots)
+        for qubit in rows:
+            hits = int(rng.binomial(self.num_shots, probability))
+            if hits:
+                positions = rng.choice(
+                    self.num_shots, size=hits, replace=False
+                )
+                self.x[qubit] ^= _scatter(positions, self.num_shots)
 
     def depolarize1(
         self,
-        qubit: int,
+        qubits: Qubits,
         probability: float,
         rng: np.random.Generator,
         shot_mask: Optional[np.ndarray] = None,
@@ -373,58 +439,48 @@ class PackedFrameArray:
         subset of shots; in both modes the stream consumption is
         mask-independent, exactly like the unpacked kernel.
         """
+        rows = _qubit_rows(qubits)
         if self.rng_mode == "exact":
-            # Same double-duty draw as FrameArray.depolarize1 — but the
-            # kind arithmetic runs only at the (sparse) hit indices.
-            u = rng.random(self.num_shots)
-            hit = u < probability
-            if shot_mask is not None:
-                hit &= shot_mask
-            indices = np.flatnonzero(hit)
-            if indices.size == 0:
-                return
-            kind = np.minimum(
-                (u[indices] * (3.0 / probability)).astype(np.int64), 2
-            )
-        else:
+            self._depolarize1_exact(rows, probability, rng, shot_mask)
+            return
+        for qubit in rows:
             hits = int(rng.binomial(self.num_shots, probability))
             if hits == 0:
-                return
+                continue
             indices = rng.choice(self.num_shots, size=hits, replace=False)
             kind = rng.integers(0, 3, size=hits)
             if shot_mask is not None:
                 keep = shot_mask[indices]
                 indices, kind = indices[keep], kind[keep]
-        self.x[qubit] ^= _scatter(indices[kind != 2], self.num_shots)
-        self.z[qubit] ^= _scatter(indices[kind != 0], self.num_shots)
+            self.x[qubit] ^= _scatter(indices[kind != 2], self.num_shots)
+            self.z[qubit] ^= _scatter(indices[kind != 0], self.num_shots)
 
     def depolarize2(
         self,
-        first: int,
-        second: int,
+        first: Qubits,
+        second: Qubits,
         probability: float,
         rng: np.random.Generator,
     ) -> None:
-        """Two-qubit depolarizing: one of 15 pairs, ``p/15`` each."""
+        """Two-qubit depolarizing: one of 15 pairs, ``p/15`` each.
+
+        ``first`` and ``second`` are one qubit each or equal-length
+        vectors of the pairs' qubits.
+        """
+        firsts, seconds = _qubit_rows(first), _qubit_rows(second)
         if self.rng_mode == "exact":
-            u = rng.random(self.num_shots)
-            indices = np.flatnonzero(u < probability)
-            if indices.size == 0:
-                return
-            kind = np.minimum(
-                (u[indices] * (15.0 / probability)).astype(np.int64), 14
-            )
-        else:
+            self._depolarize2_exact(firsts, seconds, probability, rng)
+            return
+        for one, two in zip(firsts, seconds):
             hits = int(rng.binomial(self.num_shots, probability))
             if hits == 0:
-                return
+                continue
             indices = rng.choice(self.num_shots, size=hits, replace=False)
-            kind = rng.integers(0, 15, size=hits)
-        bits = TWO_QUBIT_ERROR_BITS[kind]
-        self.x[first] ^= _scatter(indices[bits[:, 0]], self.num_shots)
-        self.z[first] ^= _scatter(indices[bits[:, 1]], self.num_shots)
-        self.x[second] ^= _scatter(indices[bits[:, 2]], self.num_shots)
-        self.z[second] ^= _scatter(indices[bits[:, 3]], self.num_shots)
+            bits = TWO_QUBIT_ERROR_BITS[rng.integers(0, 15, size=hits)]
+            self.x[one] ^= _scatter(indices[bits[:, 0]], self.num_shots)
+            self.z[one] ^= _scatter(indices[bits[:, 1]], self.num_shots)
+            self.x[two] ^= _scatter(indices[bits[:, 2]], self.num_shots)
+            self.z[two] ^= _scatter(indices[bits[:, 3]], self.num_shots)
 
     def apply_pauli_masks(
         self, x_mask: np.ndarray, z_mask: np.ndarray
@@ -440,6 +496,58 @@ class PackedFrameArray:
         self.z ^= self._as_words(z_mask)
 
     # -- internals ------------------------------------------------------
+    def _depolarize1_exact(
+        self,
+        rows: np.ndarray,
+        probability: float,
+        rng: np.random.Generator,
+        shot_mask: Optional[np.ndarray],
+    ) -> None:
+        # Same double-duty draw as FrameArray.depolarize1: a hit u < p
+        # has kind floor(3u / p), X (0), Y (1) or Z (2).
+        u = rng.random((rows.size, self.num_shots))
+        hit = u < probability
+        if shot_mask is not None:
+            hit &= shot_mask
+        # Flat indices into the draw: 1-D nonzero/gather are far
+        # cheaper than their 2-D forms.
+        flat = np.flatnonzero(hit)
+        if flat.size == 0:
+            return
+        kind = np.minimum(
+            (u.ravel()[flat] * (3.0 / probability)).astype(np.int64), 2
+        )
+        # planes: the X record (X or Y hits), then the Z record (Y or Z).
+        planes = np.zeros((2, u.size), dtype=bool)
+        planes[0, flat[kind != 2]] = True
+        planes[1, flat[kind != 0]] = True
+        words = pack_bits(planes.reshape((2,) + u.shape))
+        _xor_rows(self.x, rows, words[0])
+        _xor_rows(self.z, rows, words[1])
+
+    def _depolarize2_exact(
+        self,
+        firsts: np.ndarray,
+        seconds: np.ndarray,
+        probability: float,
+        rng: np.random.Generator,
+    ) -> None:
+        u = rng.random((firsts.size, self.num_shots))
+        flat = np.flatnonzero(u < probability)
+        if flat.size == 0:
+            return
+        kind = np.minimum(
+            (u.ravel()[flat] * (15.0 / probability)).astype(np.int64), 14
+        )
+        # planes: X/Z record of ``first``, then of ``second``.
+        planes = np.zeros((4, u.size), dtype=bool)
+        planes[:, flat] = TWO_QUBIT_ERROR_BITS[kind].T
+        words = pack_bits(planes.reshape((4,) + u.shape))
+        _xor_rows(self.x, firsts, words[0])
+        _xor_rows(self.z, firsts, words[1])
+        _xor_rows(self.x, seconds, words[2])
+        _xor_rows(self.z, seconds, words[3])
+
     def _as_words(self, mask: np.ndarray) -> np.ndarray:
         mask = np.asarray(mask)
         if mask.dtype == np.uint64:
@@ -476,8 +584,8 @@ class PackedFrameSampler:
         seed: SeedLike = None,
         rng_mode: str = "exact",
     ):
-        if rng_mode not in _RNG_MODES:
-            raise ValueError(f"rng_mode must be one of {_RNG_MODES}")
+        if rng_mode not in ENGINES:
+            raise ValueError(f"rng_mode must be one of {ENGINES}")
         self.program = program
         self.rng_mode = rng_mode
         children = _seed_sequence(seed).spawn(program.num_streams)

@@ -10,11 +10,10 @@ Two phases:
   goes through a deprecated path at import time;
 * **static** — scans the sources (package plus ``examples/`` and
   ``benchmarks/``, *not* tests, which exercise the aliases on
-  purpose) for spellings that only survive as deprecated aliases:
-  legacy ``decoder_impl`` registry names (``"batched"``,
-  ``"per-shot"``) used as decoder selectors, and the pre-PR-3 result
-  class names (``LerResult`` & co).  Import-time checking alone
-  cannot see a string literal that would warn at *call* time.
+  purpose) for names that only survive as deprecated aliases: the
+  result class names that predate the unified results API
+  (``LerResult`` & co).  Import-time
+  checking alone cannot see a name that would warn at *use* time.
 
 Usage::
 
@@ -91,42 +90,12 @@ DEPRECATED_RESULT_NAMES = frozenset(
 )
 
 
-def deprecated_decoder_aliases() -> frozenset:
-    """Legacy ``decoder_impl`` strings (the registry's alias table)."""
-    from repro.decoders import registry
-
-    return frozenset(registry._ALIASES)
-
-
 def scan_static_deprecations(
     roots: List[Path],
 ) -> List[Tuple[str, str]]:
-    """(location, offence) pairs for alias spellings in the sources.
-
-    Flags a deprecated *decoder* alias only where it is used as a
-    selector — a string literal assigned to or passed as
-    ``decoder`` / ``decoder_impl`` — so prose-like words (``batched``
-    is an ordinary English word in this repo) never false-positive.
-    Deprecated *result* names are flagged on any ``Name`` load.
-    """
-    aliases = deprecated_decoder_aliases()
+    """(location, offence) pairs for alias spellings in the sources:
+    every ``Name`` load of a deprecated result class name."""
     offences: List[Tuple[str, str]] = []
-
-    def check_selector(value: ast.AST, where: str) -> None:
-        if (
-            isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-            and value.value.partition(":")[0] in aliases
-        ):
-            offences.append(
-                (
-                    where,
-                    f"deprecated decoder alias "
-                    f"{value.value.partition(':')[0]!r} used as a "
-                    f"selector; use the canonical registry name",
-                )
-            )
-
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(
@@ -148,28 +117,6 @@ def scan_static_deprecations(
                                 f"repro.experiments.results",
                             )
                         )
-                elif isinstance(node, ast.keyword) and node.arg in (
-                    "decoder",
-                    "decoder_impl",
-                ):
-                    check_selector(node.value, where)
-                elif isinstance(node, ast.Assign):
-                    names = {
-                        t.id
-                        for t in node.targets
-                        if isinstance(t, ast.Name)
-                    }
-                    if names & {"decoder", "decoder_impl"}:
-                        check_selector(node.value, where)
-                elif isinstance(node, ast.Call):
-                    chain = node.func
-                    if (
-                        isinstance(chain, ast.Name)
-                        and chain.id
-                        in ("get_decoder", "resolve_decoder_name")
-                        and node.args
-                    ):
-                        check_selector(node.args[0], where)
     return offences
 
 

@@ -6,9 +6,9 @@ import textwrap
 import pytest
 
 from repro.analysis.matrix import (
-    ENGINE_CAPABILITIES,
     EXPERIMENT_REQUIREMENTS,
     check_doc_grammar,
+    check_engines,
     verify_matrix,
 )
 from repro.decoders.registry import (
@@ -25,36 +25,43 @@ def test_builtin_registry_passes():
     assert verification.passed, verification.problems
     assert set(verification.decoders) >= {
         "lut",
-        "per-shot-lut",
         "mwpm",
         "unionfind",
         "sparse-mwpm",
     }
-    assert verification.engines == sorted(ENGINE_CAPABILITIES)
+    assert verification.engines == ["exact", "fast"]
     assert verification.experiments == sorted(
         EXPERIMENT_REQUIREMENTS
     )
-    # Every decoder x engine and decoder x experiment combination is
-    # enumerated -- no silent gaps.
-    expected = len(verification.decoders) * (
-        len(ENGINE_CAPABILITIES) + len(EXPERIMENT_REQUIREMENTS)
-    )
+    # Every decoder x experiment combination is enumerated -- no
+    # silent gaps.
+    expected = len(verification.decoders) * len(EXPERIMENT_REQUIREMENTS)
     assert len(verification.cells) == expected
     assert verification.doc_examples > 0
 
 
-def test_packed_engine_requires_packed_syndromes():
+def test_engines_drive_every_windowed_decoder(monkeypatch):
     verification = verify_matrix()
     cells = {
         (cell.decoder, cell.context): cell.supported
         for cell in verification.cells
     }
-    # All builtins carry packed-syndromes today, so every engine
-    # pairing is supported; the structure is what we pin here.
+    # Every builtin is windowed, so it runs the engines' windowed
+    # experiments (and serve); the structure is what we pin here.
     for decoder in verification.decoders:
-        assert cells[(decoder, "engine:framesim")]
-    assert not cells[("per-shot-lut", "experiment:serve")]
+        assert cells[(decoder, "experiment:ler")]
+        assert cells[(decoder, "experiment:serve")]
     assert not cells[("lut", "experiment:phenomenological")]
+    assert check_engines() == []
+    # A core that stops advertising a capability is a named problem.
+    from repro.qpdo.packed_core import PackedStabilizerCore
+
+    monkeypatch.setattr(
+        PackedStabilizerCore, "supports", lambda self, capability: False
+    )
+    problems = check_engines()
+    assert len(problems) == 4
+    assert "engine 'exact'" in problems[0]
 
 
 def test_broken_registry_entry_fails_matrix():
@@ -92,11 +99,11 @@ def test_doc_grammar_rejects_unknown_decoder(tmp_path):
     assert any("bogus-decoder" in p for p in problems)
 
 
-def test_doc_grammar_rejects_alias(tmp_path):
+def test_doc_grammar_rejects_expired_alias(tmp_path):
     doc = tmp_path / "README.md"
     doc.write_text("run with --decoder batched\n")
     _, problems = check_doc_grammar([doc])
-    assert any("alias" in p for p in problems)
+    assert any("'batched'" in p for p in problems)
 
 
 def test_doc_grammar_rejects_undeclared_param(tmp_path):

@@ -7,10 +7,11 @@ Three pillars:
   process-level cache;
 * the vectorized syndrome packing round-trips and agrees with the
   scalar functions;
-* :class:`BatchedWindowedLutDecoder` (and the MWPM-table variant)
-  produce decisions bit-identical to running one scalar windowed
-  decoder per shot on the same syndrome streams — including
-  all-trivial batches, all-shots-correcting batches and ``shots=1``.
+* :class:`PackedWindowedLutDecoder` over the LUT tables (and over the
+  registry's MWPM tables) produces decisions bit-identical to running
+  one scalar windowed decoder per shot on the same syndrome streams —
+  including all-trivial batches, all-shots-correcting batches and
+  ragged word counts.
 """
 
 import numpy as np
@@ -21,8 +22,6 @@ from repro.codes.rotated import RotatedSurfaceCode
 from repro.codes.steane import HAMMING_CHECK_MATRIX
 from repro.codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
 from repro.decoders import (
-    BatchedWindowedLutDecoder,
-    BatchedWindowedMatchingDecoder,
     SyndromeRound,
     WindowedLutDecoder,
     WindowedMatchingDecoder,
@@ -39,6 +38,9 @@ from repro.decoders import (
     unpack_syndromes,
 )
 from repro.decoders.batched import MAX_DENSE_CHECKS
+from repro.decoders.registry import WindowContext, get_decoder
+from repro.experiments.ler import sc17_window
+from repro.sim.packedsim import pack_bits
 
 
 @pytest.fixture(autouse=True)
@@ -227,10 +229,21 @@ class TestMwpmDenseTable:
 
 
 # ----------------------------------------------------------------------
-# Batched windowed decoding equivalence
+# Windowed decoding equivalence
 # ----------------------------------------------------------------------
 def _random_stream(rng, shots, rounds, num_checks, p):
     return rng.random((shots, rounds, num_checks)) < p
+
+
+def _pack_rounds(rounds):
+    """(shots, rounds, checks) bools -> (rounds, checks, words) uint64."""
+    return pack_bits(np.asarray(rounds, dtype=bool).transpose(1, 2, 0))
+
+
+def _lut(shots, use_majority_vote=True):
+    """The registry's ``lut`` build for the SC17 windowed protocol."""
+    window = sc17_window(shots, use_majority_vote)
+    return get_decoder("lut").build(window.code, window)
 
 
 def _scalar_decisions(decoders, x_rounds, z_rounds, initialize):
@@ -265,6 +278,14 @@ def _assert_window_equivalent(batched_decision, scalar_decisions):
         batched_decision.has_corrections,
         np.array([d.has_corrections for d in scalar_decisions]),
     )
+    assert np.array_equal(
+        batched_decision.voted_x,
+        np.stack([d.voted.x_syndrome for d in scalar_decisions]),
+    )
+    assert np.array_equal(
+        batched_decision.voted_z,
+        np.stack([d.voted.z_syndrome for d in scalar_decisions]),
+    )
 
 
 def _run_equivalence(
@@ -279,13 +300,15 @@ def _run_equivalence(
     init_rounds=3,
     p=0.25,
 ):
+    """``make_batched(shots)`` decodes packed word planes; the same
+    streams go to one ``make_scalar()`` decoder per shot as bools."""
     rng = np.random.default_rng(seed)
-    batched = make_batched()
+    batched = make_batched(shots)
     scalars = [make_scalar() for _ in range(shots)]
     init_x = _random_stream(rng, shots, init_rounds, num_checks_x, p)
     init_z = _random_stream(rng, shots, init_rounds, num_checks_z, p)
     batched.reset()
-    decision = batched.initialize(init_x, init_z)
+    decision = batched.initialize(_pack_rounds(init_x), _pack_rounds(init_z))
     _assert_window_equivalent(
         decision,
         _scalar_decisions(scalars, init_x, init_z, initialize=True),
@@ -297,7 +320,9 @@ def _run_equivalence(
         z_rounds = _random_stream(
             rng, shots, rounds_per_window, num_checks_z, p
         )
-        decision = batched.decode_window(x_rounds, z_rounds)
+        decision = batched.decode_window(
+            _pack_rounds(x_rounds), _pack_rounds(z_rounds)
+        )
         _assert_window_equivalent(
             decision,
             _scalar_decisions(
@@ -306,14 +331,12 @@ def _run_equivalence(
         )
 
 
-class TestBatchedWindowedLutDecoder:
-    @pytest.mark.parametrize("shots", [1, 5, 32])
+class TestPackedWindowedLutDecoder:
+    @pytest.mark.parametrize("shots", [1, 5, 32, 64, 65])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equivalent_to_per_shot_decoder(self, shots, seed):
         _run_equivalence(
-            lambda: BatchedWindowedLutDecoder(
-                X_CHECK_MATRIX, Z_CHECK_MATRIX
-            ),
+            _lut,
             lambda: WindowedLutDecoder(X_CHECK_MATRIX, Z_CHECK_MATRIX),
             num_checks_x=4,
             num_checks_z=4,
@@ -321,26 +344,23 @@ class TestBatchedWindowedLutDecoder:
             seed=seed,
         )
 
-    def test_equivalent_without_majority_vote(self):
+    @pytest.mark.parametrize("shots", [8, 65])
+    def test_equivalent_without_majority_vote(self, shots):
         _run_equivalence(
-            lambda: BatchedWindowedLutDecoder(
-                X_CHECK_MATRIX, Z_CHECK_MATRIX, use_majority_vote=False
-            ),
+            lambda n: _lut(n, use_majority_vote=False),
             lambda: WindowedLutDecoder(
                 X_CHECK_MATRIX, Z_CHECK_MATRIX, use_majority_vote=False
             ),
             num_checks_x=4,
             num_checks_z=4,
-            shots=8,
+            shots=shots,
             seed=3,
         )
 
     def test_equivalent_on_odd_window_sizes(self):
         """Three fresh rounds: the even-history drop-oldest rule."""
         _run_equivalence(
-            lambda: BatchedWindowedLutDecoder(
-                X_CHECK_MATRIX, Z_CHECK_MATRIX
-            ),
+            _lut,
             lambda: WindowedLutDecoder(X_CHECK_MATRIX, Z_CHECK_MATRIX),
             num_checks_x=4,
             num_checks_z=4,
@@ -350,13 +370,11 @@ class TestBatchedWindowedLutDecoder:
         )
 
     def test_all_trivial_batch(self):
-        decoder = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX
-        )
-        zeros = np.zeros((5, 3, 4), dtype=bool)
+        decoder = _lut(5)
+        zeros = _pack_rounds(np.zeros((5, 3, 4), dtype=bool))
         decision = decoder.initialize(zeros, zeros)
         assert not decision.has_corrections.any()
-        window = np.zeros((5, 2, 4), dtype=bool)
+        window = _pack_rounds(np.zeros((5, 2, 4), dtype=bool))
         decision = decoder.decode_window(window, window)
         assert not decision.x_corrections.any()
         assert not decision.z_corrections.any()
@@ -364,11 +382,9 @@ class TestBatchedWindowedLutDecoder:
 
     def test_all_shots_correcting_batch(self):
         """A persistent X error on D4 in every shot fires everywhere."""
-        decoder = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX
-        )
         shots = 6
-        zeros = np.zeros((shots, 3, 4), dtype=bool)
+        decoder = _lut(shots)
+        zeros = _pack_rounds(np.zeros((shots, 3, 4), dtype=bool))
         decoder.initialize(zeros, zeros)
         z_syndrome = syndrome_of(
             Z_CHECK_MATRIX, np.eye(9, dtype=np.uint8)[4]
@@ -377,7 +393,9 @@ class TestBatchedWindowedLutDecoder:
         z_rounds = np.broadcast_to(
             z_syndrome, (shots, 2, 4)
         ).copy()
-        decision = decoder.decode_window(x_rounds, z_rounds)
+        decision = decoder.decode_window(
+            _pack_rounds(x_rounds), _pack_rounds(z_rounds)
+        )
         assert decision.has_corrections.all()
         expected = np.zeros(9, dtype=bool)
         expected[4] = True
@@ -386,59 +404,68 @@ class TestBatchedWindowedLutDecoder:
         )
         assert not decision.z_corrections.any()
 
-    def test_decode_before_initialize_rejected(self):
-        decoder = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX
-        )
-        window = np.zeros((2, 2, 4), dtype=bool)
-        with pytest.raises(RuntimeError):
-            decoder.decode_window(window, window)
-
-    def test_even_init_rounds_rejected(self):
-        decoder = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX
-        )
-        rounds = np.zeros((2, 2, 4), dtype=bool)
+    def test_requires_positive_shots(self):
         with pytest.raises(ValueError):
+            _lut(0)
+
+    def test_rejects_even_initialization(self):
+        decoder = _lut(4)
+        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
+        with pytest.raises(ValueError, match="odd number"):
             decoder.initialize(rounds, rounds)
 
-    def test_reset_clears_history(self):
-        decoder = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX
-        )
-        rounds = np.zeros((2, 3, 4), dtype=bool)
-        decoder.initialize(rounds, rounds)
+    def test_decode_before_initialize_raises(self):
+        decoder = _lut(4)
+        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
+        with pytest.raises(RuntimeError, match="not initialized"):
+            decoder.decode_window(rounds, rounds)
+
+    def test_reset_clears_word_state(self):
+        decoder = _lut(4)
+        init = _pack_rounds(np.zeros((4, 3, 4), dtype=bool))
+        decoder.initialize(init, init)
         decoder.reset()
-        window = np.zeros((2, 2, 4), dtype=bool)
-        with pytest.raises(RuntimeError):
-            decoder.decode_window(window, window)
+        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
+        with pytest.raises(RuntimeError, match="not initialized"):
+            decoder.decode_window(rounds, rounds)
 
     def test_decode_window_emits_batched_telemetry(self):
-        decoder = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX
-        )
-        rounds = np.zeros((3, 3, 4), dtype=bool)
+        decoder = _lut(3)
+        rounds = _pack_rounds(np.zeros((3, 3, 4), dtype=bool))
         decoder.initialize(rounds, rounds)
-        window = np.zeros((3, 2, 4), dtype=bool)
+        window = _pack_rounds(np.zeros((3, 2, 4), dtype=bool))
         with telemetry.enabled() as collector:
             decoder.decode_window(window, window)
-        key = ("decoder.batched", "BatchedWindowedLutDecoder")
+        key = ("decoder.batched", "PackedWindowedLutDecoder")
         assert collector.counters[key]["batch_decisions"] == 1
         assert collector.counters[key]["shots"] == 3
         assert (
             "decoder.batched",
-            "BatchedWindowedLutDecoder.decode_window",
+            "PackedWindowedLutDecoder.decode_window",
         ) in collector.span_totals
 
 
-class TestBatchedWindowedMatchingDecoder:
+class TestRegistryMatchingTables:
+    """The registry's ``mwpm`` window build is the same decoder over
+    Blossom-filled tables."""
+
     @pytest.mark.parametrize("shots", [1, 9])
     def test_equivalent_to_per_shot_matching(self, shots):
         code = RotatedSurfaceCode(3)
         num_x = code.x_check_matrix.shape[0]
         num_z = code.z_check_matrix.shape[0]
+
+        def build(num_shots):
+            window = WindowContext(
+                code.x_check_matrix,
+                code.z_check_matrix,
+                code=code,
+                num_shots=num_shots,
+            )
+            return get_decoder("mwpm").build(code, window)
+
         _run_equivalence(
-            lambda: BatchedWindowedMatchingDecoder(code),
+            build,
             lambda: WindowedMatchingDecoder(code),
             num_checks_x=num_x,
             num_checks_z=num_z,
@@ -451,15 +478,6 @@ class TestBatchedWindowedMatchingDecoder:
 # ----------------------------------------------------------------------
 # Packed-word syndrome path (regression: per-call allocation fix)
 # ----------------------------------------------------------------------
-def _pack_rounds(rounds):
-    """(shots, rounds, checks) bools -> (rounds, checks, words) uint64."""
-    from repro.sim.packedsim import pack_bits
-
-    return np.stack(
-        [pack_bits(rounds[:, index, :].T) for index in range(rounds.shape[1])]
-    )
-
-
 class TestPackedSyndromeWords:
     @pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
     def test_words_path_matches_scalar_pack(self, shots):
@@ -502,99 +520,3 @@ class TestPackedSyndromeWords:
         assert _pack_weights(8) is _pack_weights(8)
         weights = _pack_weights(8)
         assert not weights.flags.writeable
-
-
-class TestPackedWindowedLutDecoder:
-    """Packed decoder == unpacked batched decoder, bit for bit."""
-
-    @pytest.mark.parametrize("shots", [1, 64, 65])
-    @pytest.mark.parametrize("vote", [True, False])
-    def test_equivalent_to_unpacked_batched(self, shots, vote):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        rng = np.random.default_rng(17)
-        reference = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, use_majority_vote=vote
-        )
-        packed = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX,
-            Z_CHECK_MATRIX,
-            num_shots=shots,
-            use_majority_vote=vote,
-        )
-        init_x = _random_stream(rng, shots, 3, 4, 0.25)
-        init_z = _random_stream(rng, shots, 3, 4, 0.25)
-        decision_ref = reference.initialize(init_x, init_z)
-        decision_packed = packed.initialize(
-            _pack_rounds(init_x), _pack_rounds(init_z)
-        )
-        for attribute in (
-            "x_corrections",
-            "z_corrections",
-            "has_corrections",
-            "voted_x",
-            "voted_z",
-        ):
-            assert np.array_equal(
-                getattr(decision_ref, attribute),
-                getattr(decision_packed, attribute),
-            ), attribute
-        for _ in range(6):
-            x_rounds = _random_stream(rng, shots, 2, 4, 0.25)
-            z_rounds = _random_stream(rng, shots, 2, 4, 0.25)
-            decision_ref = reference.decode_window(x_rounds, z_rounds)
-            decision_packed = packed.decode_window(
-                _pack_rounds(x_rounds), _pack_rounds(z_rounds)
-            )
-            for attribute in (
-                "x_corrections",
-                "z_corrections",
-                "has_corrections",
-                "voted_x",
-                "voted_z",
-            ):
-                assert np.array_equal(
-                    getattr(decision_ref, attribute),
-                    getattr(decision_packed, attribute),
-                ), attribute
-
-    def test_requires_positive_shots(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        with pytest.raises(ValueError):
-            PackedWindowedLutDecoder(
-                X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=0
-            )
-
-    def test_rejects_even_initialization(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        decoder = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=4
-        )
-        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
-        with pytest.raises(ValueError, match="odd number"):
-            decoder.initialize(rounds, rounds)
-
-    def test_decode_before_initialize_raises(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        decoder = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=4
-        )
-        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
-        with pytest.raises(RuntimeError, match="not initialized"):
-            decoder.decode_window(rounds, rounds)
-
-    def test_reset_clears_word_state(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        decoder = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=4
-        )
-        init = _pack_rounds(np.zeros((4, 3, 4), dtype=bool))
-        decoder.initialize(init, init)
-        decoder.reset()
-        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
-        with pytest.raises(RuntimeError, match="not initialized"):
-            decoder.decode_window(rounds, rounds)

@@ -1,20 +1,20 @@
 """Unit suite of the decoder registry (names, capabilities, parsing).
 
 The registry (:mod:`repro.decoders.registry`) is the single decoder
-selection point of the experiment stack: canonical names, deprecated
-aliases, capability negotiation against simulation cores, and the
-``--decoder name:key=value`` CLI argument grammar all live there.
+selection point of the experiment stack: names, capability flags,
+builders, and the ``--decoder name:key=value`` CLI argument grammar
+all live there.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.codes.rotated import RotatedSurfaceCode
 from repro.decoders import boundary_qubits_for
 from repro.decoders.registry import (
     CAP_EXACT,
-    CAP_PACKED_SYNDROMES,
     CAP_SPACETIME,
     CAP_SPARSE,
     CAP_WINDOWED,
@@ -27,26 +27,18 @@ from repro.decoders.registry import (
     format_decoder_arg,
     get_decoder,
     list_decoders,
-    negotiate,
     parse_decoder_arg,
     register_decoder,
     resolve_decoder_name,
     unregister_decoder,
 )
-from repro.qpdo.core import UnsupportedFeatureError
 
 
 class TestCatalogue:
     def test_builtins_present(self):
         names = [spec.name for spec in list_decoders()]
         assert names == sorted(names)
-        for expected in (
-            "lut",
-            "per-shot-lut",
-            "mwpm",
-            "unionfind",
-            "sparse-mwpm",
-        ):
+        for expected in ("lut", "mwpm", "unionfind", "sparse-mwpm"):
             assert expected in names
 
     def test_capability_flags(self):
@@ -70,11 +62,13 @@ class TestCatalogue:
         with pytest.raises(UnknownDecoderError):
             get_decoder("quantum")
 
-    def test_aliases_resolve_with_deprecation(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_decoder_name("batched") == "lut"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_decoder_name("per-shot") == "per-shot-lut"
+    @pytest.mark.parametrize("expired", ["batched", "per-shot"])
+    def test_expired_aliases_are_unknown(self, expired):
+        with pytest.raises(UnknownDecoderError) as error:
+            resolve_decoder_name(expired)
+        assert str(error.value).endswith(
+            "registered: ['lut', 'mwpm', 'sparse-mwpm', 'unionfind']"
+        )
 
     def test_canonical_names_resolve_silently(self):
         with warnings.catch_warnings():
@@ -84,32 +78,25 @@ class TestCatalogue:
 
 
 class TestRegistration:
-    def _spec(self, name, aliases=()):
+    def _spec(self, name):
         return RegisteredDecoder(
             name=name,
             summary="test decoder",
             capabilities=frozenset((CAP_WINDOWED,)),
-            aliases=tuple(aliases),
         )
 
     def test_register_and_unregister(self):
-        register_decoder(self._spec("test-dec", aliases=("td",)))
+        register_decoder(self._spec("test-dec"))
         try:
-            assert get_decoder("td").name == "test-dec"
+            assert get_decoder("test-dec").name == "test-dec"
         finally:
             unregister_decoder("test-dec")
         with pytest.raises(UnknownDecoderError):
             get_decoder("test-dec")
-        with pytest.raises(UnknownDecoderError):
-            get_decoder("td")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(DuplicateDecoderError):
             register_decoder(self._spec("lut"))
-
-    def test_duplicate_alias_rejected(self):
-        with pytest.raises(DuplicateDecoderError):
-            register_decoder(self._spec("fresh", aliases=("batched",)))
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(UnknownDecoderError):
@@ -131,7 +118,7 @@ class TestCapabilityRefusal:
     def test_windowed_build_rejects_params(self):
         code = RotatedSurfaceCode(3)
         window = WindowContext(
-            code.x_check_matrix, code.z_check_matrix, code=code
+            code.x_check_matrix, code.z_check_matrix, code=code, num_shots=2
         )
         with pytest.raises(CapabilityError):
             get_decoder("lut").build(code, window, time_weight=2)
@@ -145,22 +132,37 @@ class TestCapabilityRefusal:
                 growth_rate=3,
             )
 
-    def test_negotiate_packed_core(self):
-        from repro.qpdo.packed_core import PackedStabilizerCore
-
-        core = PackedStabilizerCore(num_shots=2, seed=0)
-        for name in ("lut", "unionfind", "sparse-mwpm"):
-            assert CAP_PACKED_SYNDROMES in get_decoder(
-                name
-            ).capabilities
-            negotiate(get_decoder(name), core=core)
-        hobbled = RegisteredDecoder(
-            name="no-packed",
-            summary="cannot consume word planes",
-            capabilities=frozenset((CAP_WINDOWED,)),
+    def test_windowed_builds_share_one_decoder_class(self):
+        """Every windowed entry is the packed decoder over its own
+        dense tables."""
+        from repro.decoders import (
+            PackedWindowedLutDecoder,
+            dense_lut,
+            mwpm_dense_lut,
+            sparse_mwpm_dense_lut,
+            unionfind_dense_lut,
         )
-        with pytest.raises(UnsupportedFeatureError):
-            negotiate(hobbled, core=core)
+
+        code = RotatedSurfaceCode(3)
+        window = WindowContext(
+            code.x_check_matrix, code.z_check_matrix, code=code, num_shots=65
+        )
+        boundary = boundary_qubits_for(code, "x")
+        tables = {
+            "lut": dense_lut(code.x_check_matrix)[0],
+            "mwpm": mwpm_dense_lut(code.x_check_matrix, boundary)[0],
+            "unionfind": unionfind_dense_lut(
+                code.x_check_matrix, boundary
+            )[0],
+            "sparse-mwpm": sparse_mwpm_dense_lut(
+                code.x_check_matrix, boundary
+            )[0],
+        }
+        for name, table in tables.items():
+            decoder = get_decoder(name).build(code, window)
+            assert type(decoder) is PackedWindowedLutDecoder
+            assert decoder.num_shots == 65
+            assert np.array_equal(decoder._z_error_table, table)
 
 
 class TestArgumentGrammar:

@@ -12,7 +12,10 @@ exercised constantly, not just at hand-picked sizes):
 * ``packed_majority`` equals the ``sum * 2 > rounds`` vote,
 * a random Clifford+noise frame program advances
   :class:`PackedFrameArray` and the unpacked :class:`FrameArray`
-  identically when fed identical RNG streams.
+  identically when fed identical RNG streams,
+* a noise kernel called once over a vector of qubits (or qubit
+  pairs) gives the same planes, and consumes the same stream, as one
+  scalar call per qubit.
 """
 
 import numpy as np
@@ -201,3 +204,66 @@ class TestFrameProgramEquivalence:
         assert packed.error_weight() == (
             packed.x_bool().sum() + packed.z_bool().sum()
         )
+
+
+class TestVectorKernels:
+    """One noise-kernel call over ``k`` qubits == ``k`` scalar calls
+    on the same RNG state, bit for bit (repeated qubits included)."""
+
+    NUM_QUBITS = 6
+
+    @staticmethod
+    def _pair(seed, num_shots, rng_mode):
+        """Two identical frame arrays and two identical RNG states."""
+        frames = []
+        for _ in range(2):
+            rng = np.random.default_rng(seed)
+            array = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
+            array.add_qubits(TestVectorKernels.NUM_QUBITS, rng)
+            frames.append((array, rng))
+        return frames
+
+    @given(
+        st.data(),
+        st.sampled_from([1, 63, 64, 65, 400]),
+        st.sampled_from(["exact", "fast"]),
+        st.sampled_from(["xerr", "depolarize1", "depolarize2"]),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_vector_call_matches_scalar_calls(
+        self, data, num_shots, rng_mode, kernel, masked
+    ):
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        qubit = st.integers(0, self.NUM_QUBITS - 1)
+        (vector, vector_rng), (scalar, scalar_rng) = self._pair(
+            seed, num_shots, rng_mode
+        )
+        p = data.draw(st.sampled_from([0.05, 0.3, 0.9]))
+        if kernel == "depolarize2":
+            pairs = data.draw(
+                st.lists(
+                    st.tuples(qubit, qubit).filter(lambda q: q[0] != q[1]),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+            firsts, seconds = zip(*pairs)
+            vector.depolarize2(list(firsts), list(seconds), p, vector_rng)
+            for first, second in pairs:
+                scalar.depolarize2(first, second, p, scalar_rng)
+        else:
+            qubits = data.draw(st.lists(qubit, min_size=1, max_size=6))
+            kwargs = {}
+            if kernel == "depolarize1" and masked:
+                mask_rng = np.random.default_rng(seed + 1)
+                kwargs["shot_mask"] = mask_rng.random(num_shots) < 0.5
+            getattr(vector, kernel)(qubits, p, vector_rng, **kwargs)
+            for q in qubits:
+                getattr(scalar, kernel)(q, p, scalar_rng, **kwargs)
+        assert np.array_equal(vector.x, scalar.x)
+        assert np.array_equal(vector.z, scalar.z)
+        # Same stream consumed: the next draws agree too.
+        assert vector_rng.random() == scalar_rng.random()
+        assert np.all(vector.x & ~full_mask(num_shots) == 0)
+        assert np.all(vector.z & ~full_mask(num_shots) == 0)

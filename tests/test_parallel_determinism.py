@@ -216,7 +216,7 @@ class TestPackedEngineParallel:
                 resume=True,
             )
 
-    def test_loop_mode_rejects_packed_engine(self):
+    def test_loop_mode_rejects_fast_engine(self):
         with pytest.raises(ValueError, match="batch mode"):
             plan_shards(
                 PER_VALUES,
@@ -227,7 +227,7 @@ class TestPackedEngineParallel:
                 SEED,
                 max_logical_errors=2,
                 max_windows=60,
-                engine="packed",
+                engine="fast",
             )
 
 
@@ -460,3 +460,60 @@ class TestShardFlagValidation:
         assert exit_info.value.code == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument {flag}" in last
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--checkpoint", "ck.jsonl"],
+            ["--resume"],
+            ["--target-ci", "0.5"],
+            ["--shard-shots", "2"],
+        ],
+    )
+    def test_sweep_sharding_flags_need_workers(
+        self, flags, tmp_path, capsys, monkeypatch
+    ):
+        """Without --workers the sweep runs in process, so a sharding
+        flag would be silently ignored: refuse it instead."""
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(
+            ["sweep", "--batch", "2", "--samples", "4", *flags]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert flags[0] in err and "--workers" in err
+        assert not (tmp_path / "ck.jsonl").exists()
+
+
+class TestCliBoundaryErrors:
+    """Bad values at the CLI boundary exit 2 with one line, never a
+    traceback, and never a report computed from zero samples."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["ler", "--per", "1.5"], "argument --per"),
+            (["ler", "--per", "nan"], "argument --per"),
+            (["sweep", "--per", "1e-3", "-0.1"], "argument --per"),
+            (["memory", "--per", "2"], "argument --per"),
+            (["distance", "--per", "1.01"], "argument --per"),
+            (["phenomenological", "--per", "x"], "argument --per"),
+            (["phenomenological", "--distances", "4"], "argument --distances"),
+            (["distance", "--distances", "1"], "argument --distances"),
+            (["memory", "--distances", "3", "6"], "argument --distances"),
+            (["memory", "--trials", "0"], "argument --trials"),
+            (["distance", "--trials", "-1"], "argument --trials"),
+            (["phenomenological", "--trials", "0"], "argument --trials"),
+            (["report", "/nonexistent/trace.jsonl"], "cannot read trace"),
+        ],
+    )
+    def test_refused_with_one_line(self, argv, needle, capsys):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert needle in err.strip().splitlines()[-1]
+        assert "Traceback" not in err

@@ -164,8 +164,8 @@ class TestReferenceTableau:
 
 class TestExperimentIntegration:
     def test_warm_run_is_bit_identical(self):
-        cold, cold_replaying = run_ler("framesim")
-        warm, warm_replaying = run_ler("framesim")
+        cold, cold_replaying = run_ler("exact")
+        warm, warm_replaying = run_ler("exact")
         assert not cold_replaying
         assert warm_replaying
         assert [r.to_json_dict() for r in cold] == [
@@ -173,21 +173,16 @@ class TestExperimentIntegration:
         ]
 
     def test_trace_is_shared_across_engines(self):
-        cold, _ = run_ler("framesim")
-        for engine in ("packed", "packed-fast"):
-            warm, replaying = run_ler(engine)
-            assert replaying, engine
-        packed, _ = run_ler("packed")
-        assert [r.to_json_dict() for r in cold] == [
-            r.to_json_dict() for r in packed
-        ]
+        run_ler("exact")
+        _, replaying = run_ler("fast")
+        assert replaying
 
     def test_opt_out_skips_the_cache(self):
-        _, replaying = run_ler("framesim", reference_cache=False)
+        _, replaying = run_ler("exact", reference_cache=False)
         assert not replaying
         assert reference_cache_size() == 0
 
-    @pytest.mark.parametrize("engine", ["framesim", "packed"])
+    @pytest.mark.parametrize("engine", ["exact", "fast"])
     def test_live_mode_equals_cached_mode(self, engine):
         """Live, record and replay runs draw one reference."""
         live, _ = run_ler(engine, reference_cache=False)
@@ -202,16 +197,16 @@ class TestExperimentIntegration:
 
     def test_unseeded_runs_share_the_structure_trace(self):
         """Changed contract: an unseeded run has a structure too."""
-        run_ler("framesim", seed=None)
-        _, replaying = run_ler("framesim", seed=None)
+        run_ler("exact", seed=None)
+        _, replaying = run_ler("exact", seed=None)
         assert replaying
         assert reference_cache_size() == 1
 
     def test_distinct_seeds_share_one_entry(self):
         """Changed contract: seeds, arms and shot counts share one
         trace; only a different structure adds an entry."""
-        run_ler("framesim", seed=1)
-        _, replaying = run_ler("framesim", seed=2)
+        run_ler("exact", seed=1)
+        _, replaying = run_ler("exact", seed=2)
         assert replaying
         BatchedLerExperiment(
             0.01, 5, use_pauli_frame=False, windows=3, seed=3

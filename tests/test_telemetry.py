@@ -195,7 +195,7 @@ class TestInstrumentationIntegration:
         assert "experiment" in categories
         assert "qpdo" in categories
         assert "sim.stabilizer" in categories
-        assert "sim.framesim" in categories
+        assert "sim.packedsim" in categories
         assert any(c.startswith("decoder.") for c in categories)
 
     def test_disabled_run_records_nothing(self):
